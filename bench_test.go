@@ -303,6 +303,27 @@ func BenchmarkCodecDecodeFrame(b *testing.B) {
 	}
 }
 
+// BenchmarkCodecDecodeSegment decodes one 30-frame segment (an I-frame and
+// 29 P-frames) encoded at the server's ingest codec config: the inter path
+// that dominates client playback, which BenchmarkCodecDecodeFrame misses.
+func BenchmarkCodecDecodeSegment(b *testing.B) {
+	v, _ := scene.ByName("Paris")
+	frames := make([]*frame.Frame, 30)
+	for i := range frames {
+		frames[i] = v.RenderFrame(float64(i)/float64(v.FPS), projection.ERP, 192, 96)
+	}
+	bs, err := codec.EncodeSequence(codec.Config{GOP: 30, Quality: 6, SearchRange: 2}, frames)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := codec.DecodeSequence(bs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkCaptureStitch(b *testing.B) {
 	v, _ := scene.ByName("RS")
 	rig := capture.SixCameraRig(64)

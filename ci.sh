@@ -55,6 +55,12 @@
 # ceiling. The codec rate controller joins the fuzz smokes, and the full
 # conformance run now also pins the viewport-weighted S-PSNR column of
 # every golden case.
+#
+# The codec decoder has its own fuzz smoke: no payload may panic it or
+# make it allocate more than the payload could describe. perfbench is a
+# Go module of its own, so `go test ./...` above never reaches it; its
+# short self-tests (seed determinism, wrapper transparency, metric
+# coverage) run from its directory.
 set -eux
 
 test -z "$(gofmt -l .)"
@@ -68,6 +74,8 @@ go test ./internal/headtrace -run='^$' -fuzz=FuzzHeadtraceCSV -fuzztime=5s
 go test ./internal/delivery -run='^$' -fuzz=FuzzUnmarshalTile -fuzztime=5s
 go test ./internal/chaos -run='^$' -fuzz=FuzzChaosScenario -fuzztime=5s
 go test ./internal/codec -run='^$' -fuzz=FuzzRateControllerObserve -fuzztime=5s
+go test ./internal/codec -run='^$' -fuzz=FuzzDecode -fuzztime=5s
+(cd perfbench && go test -short .)
 go run ./cmd/evrconform -fast
 go run ./cmd/evrconform
 go run ./cmd/evrbench -lut -lut-width 256 -lut-frames 2 -users 2 -bench-out "${TMPDIR:-/tmp}/bench_lut_smoke.json"

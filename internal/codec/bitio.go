@@ -68,6 +68,9 @@ type bitReader struct {
 
 func newBitReader(buf []byte) *bitReader { return &bitReader{buf: buf} }
 
+// bitsLeft returns the number of unread bits.
+func (r *bitReader) bitsLeft() int { return (len(r.buf)-r.pos)*8 - int(r.bit) }
+
 func (r *bitReader) readBit() (uint, error) {
 	if r.pos >= len(r.buf) {
 		return 0, errBitstream

@@ -139,6 +139,10 @@ func (e *Encoder) Encode(f *frame.Frame) ([]byte, FrameType, error) {
 	return w.bytes(), ft, nil
 }
 
+// minBlockBits is the fewest bits a coded block can take: each of its three
+// channels ends with the end-of-block code writeUE(64), 13 bits long.
+const minBlockBits = 3 * 13
+
 // Decoder decompresses a stream produced by Encoder. Frames must be decoded
 // in encode order; an I-frame resets the prediction chain.
 type Decoder struct {
@@ -181,6 +185,11 @@ func (d *Decoder) Decode(data []byte) (*frame.Frame, error) {
 	if w <= 0 || h <= 0 || w%blockSize != 0 || h%blockSize != 0 || quality < 1 || quality > 64 || flagBits > 3 {
 		return nil, errBitstream
 	}
+	// Reject a header whose frame the payload cannot fill before allocating
+	// it: the 16-bit fields alone could demand a 12 GiB frame.
+	if (w/blockSize)*(h/blockSize)*minBlockBits > r.bitsLeft() {
+		return nil, errBitstream
+	}
 	cfg := Config{Quality: quality, ChromaCoding: chroma, HalfPel: halfPel}
 	if ft == PFrame {
 		if d.ref == nil {
@@ -211,9 +220,25 @@ func (d *Decoder) Decode(data []byte) (*frame.Frame, error) {
 	return out, nil
 }
 
-// channelBlock extracts one 8×8 channel block (ch = 0/1/2 for R/G/B), with
-// border clamping.
+// channelBlock extracts one 8×8 channel block (ch = 0/1/2 for R/G/B). A
+// block inside the frame reads the plane directly; one that a motion vector
+// pushes past the border clamps each pixel to the edge.
 func channelBlock(f *frame.Frame, bx, by, ch int, dst *[blockSize * blockSize]float64) {
+	if bx < 0 || by < 0 || bx+blockSize > f.W || by+blockSize > f.H {
+		channelBlockClamped(f, bx, by, ch, dst)
+		return
+	}
+	for y := 0; y < blockSize; y++ {
+		i := ((by+y)*f.W+bx)*3 + ch
+		row := f.Pix[i : i+3*(blockSize-1)+1]
+		for x := 0; x < blockSize; x++ {
+			dst[y*blockSize+x] = float64(row[3*x])
+		}
+	}
+}
+
+// channelBlockClamped is channelBlock with border clamping on every pixel.
+func channelBlockClamped(f *frame.Frame, bx, by, ch int, dst *[blockSize * blockSize]float64) {
 	for y := 0; y < blockSize; y++ {
 		for x := 0; x < blockSize; x++ {
 			r, g, b := f.At(bx+x, by+y)
@@ -223,9 +248,13 @@ func channelBlock(f *frame.Frame, bx, by, ch int, dst *[blockSize * blockSize]fl
 	}
 }
 
-// storeBlock writes one channel block back, clamping to [0, 255].
+// storeBlock writes one channel block back into the plane, clamping to
+// [0, 255]. The block must lie inside the frame, as every coded block does:
+// frame dimensions are multiples of the block size.
 func storeBlock(f *frame.Frame, bx, by, ch int, src *[blockSize * blockSize]float64) {
 	for y := 0; y < blockSize; y++ {
+		i := ((by+y)*f.W+bx)*3 + ch
+		row := f.Pix[i : i+3*(blockSize-1)+1]
 		for x := 0; x < blockSize; x++ {
 			v := int(src[y*blockSize+x] + 0.5)
 			if v < 0 {
@@ -234,15 +263,7 @@ func storeBlock(f *frame.Frame, bx, by, ch int, src *[blockSize * blockSize]floa
 			if v > 255 {
 				v = 255
 			}
-			r, g, b := f.At(bx+x, by+y)
-			switch ch {
-			case 0:
-				f.Set(bx+x, by+y, byte(v), g, b)
-			case 1:
-				f.Set(bx+x, by+y, r, byte(v), b)
-			default:
-				f.Set(bx+x, by+y, r, g, byte(v))
-			}
+			row[3*x] = byte(v)
 		}
 	}
 }
@@ -253,6 +274,7 @@ func writeCoeffBlock(w *bitWriter, spatial *[blockSize * blockSize]float64, qual
 	var freq [blockSize * blockSize]float64
 	fdct(spatial, &freq)
 	var q [blockSize * blockSize]int32
+	var nz uint64
 	for ky := 0; ky < blockSize; ky++ {
 		for kx := 0; kx < blockSize; kx++ {
 			i := ky*blockSize + kx
@@ -264,6 +286,9 @@ func writeCoeffBlock(w *bitWriter, spatial *[blockSize * blockSize]float64, qual
 				q[i] = int32(c - 0.5)
 			}
 			freq[i] = float64(q[i]) * step // dequantized, for recon
+			if q[i] != 0 {
+				nz |= 1 << uint(i)
+			}
 		}
 	}
 	// (run, level) pairs in zigzag order; run 64 terminates.
@@ -278,13 +303,14 @@ func writeCoeffBlock(w *bitWriter, spatial *[blockSize * blockSize]float64, qual
 		run = 0
 	}
 	w.writeUE(64) // end of block
-	idct(&freq, recon)
+	idct(&freq, nz, recon)
 }
 
 // readCoeffBlock entropy-decodes, dequantizes, and inverse-transforms one
 // block.
 func readCoeffBlock(r *bitReader, quality int, out *[blockSize * blockSize]float64) error {
 	var freq [blockSize * blockSize]float64
+	var nz uint64
 	pos := 0
 	for {
 		run, err := r.readUE()
@@ -305,9 +331,10 @@ func readCoeffBlock(r *bitReader, quality int, out *[blockSize * blockSize]float
 		zi := zigzag[pos]
 		ky, kx := zi/blockSize, zi%blockSize
 		freq[zi] = float64(level) * quantStep(ky, kx, quality)
+		nz |= 1 << uint(zi)
 		pos++
 	}
-	idct(&freq, out)
+	idct(&freq, nz, out)
 	return nil
 }
 

@@ -303,7 +303,7 @@ func TestDCTRoundTripExact(t *testing.T) {
 		in[i] = float64(rng.Intn(256)) - 128
 	}
 	fdct(&in, &freq)
-	idct(&freq, &out)
+	idct(&freq, ^uint64(0), &out)
 	for i := range in {
 		if math.Abs(in[i]-out[i]) > 1e-9 {
 			t.Fatalf("DCT round trip error %v at %d", math.Abs(in[i]-out[i]), i)

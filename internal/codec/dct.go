@@ -1,6 +1,9 @@
 package codec
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // blockSize is the transform block edge length (8×8, as in JPEG/H.26x).
 const blockSize = 8
@@ -45,27 +48,56 @@ func fdct(in *[blockSize * blockSize]float64, out *[blockSize * blockSize]float6
 	}
 }
 
-// idct computes the 2-D inverse DCT of an 8×8 coefficient block.
-func idct(in *[blockSize * blockSize]float64, out *[blockSize * blockSize]float64) {
+// colBits masks column 0 of a coefficient mask, whose bit k*blockSize+x
+// stands for coefficient (k, x): mask>>x & colBits holds column x.
+const colBits = 0x0101010101010101
+
+// idct computes the 2-D inverse DCT of an 8×8 coefficient block. Bit i of nz
+// is set for every coefficient in[i] that may be nonzero; every other
+// coefficient must be zero.
+//
+// It skips the zero coefficients, yet its output is bit-identical to the
+// dense column-then-row evaluation (kept in the tests as denseIDCT): each
+// output sums its products in the same ascending order, starting from +0,
+// and a ±0 product added to a sum that started at +0 never changes it. So
+// an empty column contributes exact zeros that the row pass may skip too,
+// and an all-zero block inverse-transforms to +0 everywhere.
+func idct(in *[blockSize * blockSize]float64, nz uint64, out *[blockSize * blockSize]float64) {
+	*out = [blockSize * blockSize]float64{}
+	if nz == 0 {
+		return
+	}
 	var tmp [blockSize * blockSize]float64
-	// Columns.
+	var cols [blockSize]int
+	nc := 0
+	// Columns: tmp[n][x] = Σ_k in[k][x]·cos[k][n], over the nonzero k only.
 	for x := 0; x < blockSize; x++ {
-		for n := 0; n < blockSize; n++ {
-			var s float64
-			for k := 0; k < blockSize; k++ {
-				s += in[k*blockSize+x] * cosTable[k][n]
+		m := nz >> uint(x) & colBits
+		if m == 0 {
+			continue
+		}
+		cols[nc] = x
+		nc++
+		var s [blockSize]float64
+		for ; m != 0; m &= m - 1 {
+			k := bits.TrailingZeros64(m) / blockSize
+			c, basis := in[k*blockSize+x], &cosTable[k]
+			for n := range s {
+				s[n] += c * basis[n]
 			}
-			tmp[n*blockSize+x] = s
+		}
+		for n, v := range s {
+			tmp[n*blockSize+x] = v
 		}
 	}
-	// Rows.
+	// Rows: out[y][n] = Σ_k tmp[y][k]·cos[k][n], over the nonempty columns k.
 	for y := 0; y < blockSize; y++ {
-		for n := 0; n < blockSize; n++ {
-			var s float64
-			for k := 0; k < blockSize; k++ {
-				s += tmp[y*blockSize+k] * cosTable[k][n]
+		row := (*[blockSize]float64)(out[y*blockSize : (y+1)*blockSize])
+		for _, k := range cols[:nc] {
+			c, basis := tmp[y*blockSize+k], &cosTable[k]
+			for n := range row {
+				row[n] += c * basis[n]
 			}
-			out[y*blockSize+n] = s
 		}
 	}
 }
