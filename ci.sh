@@ -2,10 +2,11 @@
 # CI gate: format check, vet, build, and run the full test suite under the
 # race detector (with shuffled test order, so hidden inter-test ordering
 # dependencies surface). The parallel render engine (pt.RenderParallel,
-# pte.RenderParallel, server ingest fan-out), the client fetch layer
-# (prefetcher + singleflight + LRU cache), the telemetry subsystem
-# (registry/histogram/tracer), and the multi-user serving layer (response
-# cache + singleflight + admission control, soaked by loadgen's 32-session
+# pte.RenderParallel, server ingest fan-out), the shared LRU + singleflight
+# cache (internal/lru) behind the client fetch layer's prefetcher, the
+# response and edge caches and the mapping-LUT cache, the telemetry
+# subsystem (registry/histogram/tracer), and the multi-user serving layer
+# (response cache + admission control, soaked by loadgen's 32-session
 # test) must stay race-clean; every PR runs this before merge. The
 # benchmark smoke run keeps the telemetry disabled-path overhead benchmarks
 # compiling and executable without timing them, and the fuzz smokes give
@@ -57,8 +58,10 @@
 # every golden case.
 #
 # The codec decoder has its own fuzz smoke: no payload may panic it or
-# make it allocate more than the payload could describe. perfbench is a
-# Go module of its own, so `go test ./...` above never reaches it; its
+# make it allocate more than the payload could describe. The cache model
+# fuzzer checks internal/lru against a sequential reference (resident set,
+# LRU order, budget, stats) over random Get/Peek/Purge sequences. perfbench
+# is a Go module of its own, so `go test ./...` above never reaches it; its
 # short self-tests (seed determinism, wrapper transparency, metric
 # coverage) run from its directory.
 set -eux
@@ -75,6 +78,7 @@ go test ./internal/delivery -run='^$' -fuzz=FuzzUnmarshalTile -fuzztime=5s
 go test ./internal/chaos -run='^$' -fuzz=FuzzChaosScenario -fuzztime=5s
 go test ./internal/codec -run='^$' -fuzz=FuzzRateControllerObserve -fuzztime=5s
 go test ./internal/codec -run='^$' -fuzz=FuzzDecode -fuzztime=5s
+go test ./internal/lru -run='^$' -fuzz=FuzzCacheModel -fuzztime=5s
 (cd perfbench && go test -short .)
 go run ./cmd/evrconform -fast
 go run ./cmd/evrconform

@@ -17,6 +17,7 @@ import (
 	"evr/internal/codec"
 	"evr/internal/delivery"
 	"evr/internal/frame"
+	"evr/internal/lru"
 	"evr/internal/server"
 	"evr/internal/telemetry"
 )
@@ -116,14 +117,49 @@ type FetchCounters struct {
 	BehindLiveNsMax int64
 }
 
+// segmentKey identifies one decoded segment payload in the cache: a FOV
+// video (cluster ≥ 0), an original segment (cluster = origCluster), one
+// tile stream (cluster = tileCluster, tile/rung set), or the low-res
+// backfill stream (cluster = lowCluster).
+type segmentKey struct {
+	video   string
+	seg     int
+	cluster int
+	tile    int
+	rung    int
+}
+
+// Cluster pseudo-IDs for the non-FOV payload kinds sharing the cache.
+const (
+	origCluster = -1
+	tileCluster = -2
+	lowCluster  = -3
+)
+
+// segmentEntry is one cached decoded segment: the frames ready for display
+// plus, for FOV videos, their per-frame orientation metadata.
+type segmentEntry struct {
+	frames []*frame.Frame
+	meta   []server.FrameMeta
+	// prefetched marks entries loaded by the background prefetcher; the
+	// first demand lookup that hits or joins one clears it, so each
+	// prefetch counts as at most one PrefetchHit.
+	prefetched atomic.Bool
+}
+
 // Fetcher is the client's network layer: a retrying, timeout-bearing HTTP
-// transport below an LRU cache of decoded segments, with singleflight
-// deduplication so a prefetch and an on-demand request for the same
-// segment never download it twice. Safe for concurrent use.
+// transport below an LRU cache of decoded segments (internal/lru), whose
+// singleflight means a prefetch and an on-demand request for the same
+// segment never download it twice. Holding *decoded* frames (not wire
+// payloads) means a cache hit skips both the network round trip and the
+// P-frame chain decode — the two costs the paper's §5.4 fallback path pays
+// mid-render. Capacity is counted in segments because eviction granularity
+// is a whole segment anyway (partial segments are undecodable mid-chain).
+// Safe for concurrent use.
 type Fetcher struct {
 	cfg   FetchConfig
 	http  *http.Client
-	cache *segmentCache
+	cache *lru.Cache[segmentKey, *segmentEntry]
 
 	// ctx parents every attempt's request context and gates retry backoff;
 	// Close cancels it so in-flight transfers and backoff sleeps abort
@@ -137,9 +173,7 @@ type Fetcher struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	mu      sync.Mutex
-	flights map[segmentKey]*flightCall
-	wg      sync.WaitGroup // outstanding prefetch goroutines
+	wg sync.WaitGroup // outstanding prefetch goroutines
 
 	// liveEdge records, per video, the live edge at session join: only
 	// segments at or past it are "at edge" for freshness accounting —
@@ -160,16 +194,6 @@ type Fetcher struct {
 	behindMaxNs     atomic.Int64
 }
 
-// flightCall is one in-flight segment download+decode that concurrent
-// requesters share.
-type flightCall struct {
-	done     chan struct{}
-	entry    segmentEntry
-	err      error
-	prefetch bool // started by the prefetcher
-	consumed bool // a demand requester joined before completion (under Fetcher.mu)
-}
-
 // NewFetcher builds a fetcher. A nil httpClient gets a default client whose
 // end-to-end timeout matches cfg.Timeout; a caller-supplied client is used
 // as-is, with cfg.Timeout still enforced per attempt via request contexts.
@@ -181,11 +205,10 @@ func NewFetcher(cfg FetchConfig, httpClient *http.Client) *Fetcher {
 	return &Fetcher{
 		cfg:      cfg,
 		http:     httpClient,
-		cache:    newSegmentCache(cfg.CacheSegments),
+		cache:    lru.New[segmentKey](int64(cfg.CacheSegments), func(*segmentEntry) int64 { return 1 }, nil, ""),
 		ctx:      ctx,
 		cancel:   cancel,
 		rng:      rand.New(rand.NewSource(time.Now().UnixNano())),
-		flights:  make(map[segmentKey]*flightCall),
 		liveEdge: make(map[string]int),
 	}
 }
@@ -217,7 +240,7 @@ func (f *Fetcher) Counters() FetchCounters {
 		RetryAfterWaits: f.retryAfterWaits.Load(),
 		TimedOut:        f.timedOut.Load(),
 		BytesFetched:    f.bytesFetched.Load(),
-		Evictions:       f.cache.evicted(),
+		Evictions:       f.cache.Stats().Evictions,
 		LiveWaits:       f.liveWaits.Load(),
 		LiveSegments:    f.liveSegments.Load(),
 		BehindLiveNsSum: f.behindSumNs.Load(),
@@ -244,7 +267,7 @@ func (f *Fetcher) Manifest(baseURL, video string) (*server.Manifest, error) {
 // video, from cache when possible.
 func (f *Fetcher) FOVSegment(baseURL, video string, seg, cluster int) ([]*frame.Frame, []server.FrameMeta, error) {
 	key := segmentKey{video: video, seg: seg, cluster: cluster}
-	e, err := f.segment(key, false, func() (segmentEntry, error) {
+	e, err := f.segment(key, false, func() (*segmentEntry, error) {
 		return f.loadFOV(baseURL, video, seg, cluster)
 	})
 	return e.frames, e.meta, err
@@ -254,7 +277,7 @@ func (f *Fetcher) FOVSegment(baseURL, video string, seg, cluster int) ([]*frame.
 // segment, from cache when possible.
 func (f *Fetcher) OrigSegment(baseURL, video string, seg int) ([]*frame.Frame, error) {
 	key := segmentKey{video: video, seg: seg, cluster: origCluster}
-	e, err := f.segment(key, false, func() (segmentEntry, error) {
+	e, err := f.segment(key, false, func() (*segmentEntry, error) {
 		return f.loadOrig(baseURL, video, seg)
 	})
 	return e.frames, err
@@ -265,7 +288,7 @@ func (f *Fetcher) OrigSegment(baseURL, video string, seg int) ([]*frame.Frame, e
 // apply per tile, exactly as they do per segment.
 func (f *Fetcher) TileSegment(baseURL, video string, seg, tile, rung int) ([]*frame.Frame, error) {
 	key := segmentKey{video: video, seg: seg, cluster: tileCluster, tile: tile, rung: rung}
-	e, err := f.segment(key, false, func() (segmentEntry, error) {
+	e, err := f.segment(key, false, func() (*segmentEntry, error) {
 		return f.loadTile(baseURL, video, seg, tile, rung)
 	})
 	return e.frames, err
@@ -275,7 +298,7 @@ func (f *Fetcher) TileSegment(baseURL, video string, seg, tile, rung int) ([]*fr
 // backfill stream, from cache when possible.
 func (f *Fetcher) TileLowSegment(baseURL, video string, seg int) ([]*frame.Frame, error) {
 	key := segmentKey{video: video, seg: seg, cluster: lowCluster}
-	e, err := f.segment(key, false, func() (segmentEntry, error) {
+	e, err := f.segment(key, false, func() (*segmentEntry, error) {
 		return f.loadTileLow(baseURL, video, seg)
 	})
 	return e.frames, err
@@ -283,14 +306,14 @@ func (f *Fetcher) TileLowSegment(baseURL, video string, seg int) ([]*frame.Frame
 
 // PrefetchFOV warms the cache with a FOV video in the background.
 func (f *Fetcher) PrefetchFOV(baseURL, video string, seg, cluster int) {
-	f.prefetchSegment(segmentKey{video: video, seg: seg, cluster: cluster}, func() (segmentEntry, error) {
+	f.prefetchSegment(segmentKey{video: video, seg: seg, cluster: cluster}, func() (*segmentEntry, error) {
 		return f.loadFOV(baseURL, video, seg, cluster)
 	})
 }
 
 // PrefetchOrig warms the cache with an original segment in the background.
 func (f *Fetcher) PrefetchOrig(baseURL, video string, seg int) {
-	f.prefetchSegment(segmentKey{video: video, seg: seg, cluster: origCluster}, func() (segmentEntry, error) {
+	f.prefetchSegment(segmentKey{video: video, seg: seg, cluster: origCluster}, func() (*segmentEntry, error) {
 		return f.loadOrig(baseURL, video, seg)
 	})
 }
@@ -300,8 +323,8 @@ func (f *Fetcher) Wait() { f.wg.Wait() }
 
 // prefetchSegment spawns a background fill of one segment. Prefetch errors
 // are swallowed: a later demand fetch retries and reports them.
-func (f *Fetcher) prefetchSegment(key segmentKey, load func() (segmentEntry, error)) {
-	if f.cache == nil || !f.cfg.Prefetch {
+func (f *Fetcher) prefetchSegment(key segmentKey, load func() (*segmentEntry, error)) {
+	if f.cfg.CacheSegments <= 0 || !f.cfg.Prefetch {
 		return
 	}
 	f.prefetchIssued.Add(1)
@@ -312,81 +335,60 @@ func (f *Fetcher) prefetchSegment(key segmentKey, load func() (segmentEntry, err
 	}()
 }
 
-// segment serves one decoded segment through cache and singleflight.
-func (f *Fetcher) segment(key segmentKey, prefetch bool, load func() (segmentEntry, error)) (segmentEntry, error) {
-	if prefetch {
-		if f.cache.contains(key) {
-			return segmentEntry{}, nil
+// segment serves one decoded segment through the cache. A demand lookup
+// that hits or joins an in-flight load counts as a CacheHit, and as a
+// PrefetchHit if it is the first to consume a prefetched entry. A prefetch
+// of a resident segment returns at once.
+func (f *Fetcher) segment(key segmentKey, prefetch bool, load func() (*segmentEntry, error)) (*segmentEntry, error) {
+	if prefetch && f.cache.Peek(key) {
+		return nil, nil
+	}
+	e, outcome, err := f.cache.Get(key, func() (*segmentEntry, error) {
+		e, err := load()
+		if e == nil {
+			e = new(segmentEntry)
 		}
-	} else if e, wasPrefetched, ok := f.cache.get(key); ok {
+		e.prefetched.Store(prefetch)
+		return e, err
+	})
+	if !prefetch && outcome != lru.Miss {
 		f.cacheHits.Add(1)
-		if wasPrefetched {
+		if e.prefetched.CompareAndSwap(true, false) {
 			f.prefetchHits.Add(1)
 		}
-		return e, nil
 	}
-
-	f.mu.Lock()
-	if c, ok := f.flights[key]; ok {
-		if !prefetch {
-			joinedPrefetch := c.prefetch && !c.consumed
-			c.consumed = true
-			f.cacheHits.Add(1)
-			if joinedPrefetch {
-				f.prefetchHits.Add(1)
-			}
-		}
-		f.mu.Unlock()
-		<-c.done
-		return c.entry, c.err
-	}
-	c := &flightCall{done: make(chan struct{}), prefetch: prefetch}
-	f.flights[key] = c
-	f.mu.Unlock()
-
-	c.entry, c.err = load()
-
-	f.mu.Lock()
-	delete(f.flights, key)
-	stillPrefetch := c.prefetch && !c.consumed
-	f.mu.Unlock()
-	if c.err == nil {
-		c.entry.prefetched = stillPrefetch
-		f.cache.put(key, c.entry)
-	}
-	close(c.done)
-	return c.entry, c.err
+	return e, err
 }
 
 // loadFOV downloads and decodes one FOV video plus its metadata.
-func (f *Fetcher) loadFOV(baseURL, video string, seg, cluster int) (segmentEntry, error) {
+func (f *Fetcher) loadFOV(baseURL, video string, seg, cluster int) (*segmentEntry, error) {
 	payload, err := f.getLive(fmt.Sprintf("%s/v/%s/fov/%d/%d", baseURL, video, seg, cluster), video, seg)
 	if err != nil {
-		return segmentEntry{}, err
+		return nil, err
 	}
 	frames, err := f.decodePayload(payload)
 	if err != nil {
-		return segmentEntry{}, err
+		return nil, err
 	}
 	metaRaw, err := f.getLive(fmt.Sprintf("%s/v/%s/fovmeta/%d/%d", baseURL, video, seg, cluster), video, seg)
 	if err != nil {
-		return segmentEntry{}, err
+		return nil, err
 	}
 	tm := f.cfg.Trace.StartTimer(telemetry.StageDecode)
 	var meta []server.FrameMeta
 	err = json.Unmarshal(metaRaw, &meta)
 	tm.Stop()
 	if err != nil {
-		return segmentEntry{}, fmt.Errorf("client: parsing FOV metadata: %w", err)
+		return nil, fmt.Errorf("client: parsing FOV metadata: %w", err)
 	}
-	return segmentEntry{frames: frames, meta: meta}, nil
+	return &segmentEntry{frames: frames, meta: meta}, nil
 }
 
 // loadOrig downloads and decodes one original segment.
-func (f *Fetcher) loadOrig(baseURL, video string, seg int) (segmentEntry, error) {
+func (f *Fetcher) loadOrig(baseURL, video string, seg int) (*segmentEntry, error) {
 	payload, err := f.getLive(fmt.Sprintf("%s/v/%s/orig/%d", baseURL, video, seg), video, seg)
 	if err != nil {
-		return segmentEntry{}, err
+		return nil, err
 	}
 	return f.decodePayloadEntry(payload)
 }
@@ -394,32 +396,32 @@ func (f *Fetcher) loadOrig(baseURL, video string, seg int) (segmentEntry, error)
 // loadTile downloads and decodes one tile payload, verifying the wire
 // header names the tile that was asked for — a confused (or hostile)
 // origin must not paint the wrong rectangle.
-func (f *Fetcher) loadTile(baseURL, video string, seg, tile, rung int) (segmentEntry, error) {
+func (f *Fetcher) loadTile(baseURL, video string, seg, tile, rung int) (*segmentEntry, error) {
 	payload, err := f.getLive(fmt.Sprintf("%s/v/%s/tile/%d/%d/%d", baseURL, video, seg, tile, rung), video, seg)
 	if err != nil {
-		return segmentEntry{}, err
+		return nil, err
 	}
 	tm := f.cfg.Trace.StartTimer(telemetry.StageDecode)
 	defer tm.Stop()
 	p, err := delivery.UnmarshalTile(payload)
 	if err != nil {
-		return segmentEntry{}, err
+		return nil, err
 	}
 	if p.Tile != tile || p.Rung != rung {
-		return segmentEntry{}, fmt.Errorf("client: asked for tile %d rung %d, payload is tile %d rung %d", tile, rung, p.Tile, p.Rung)
+		return nil, fmt.Errorf("client: asked for tile %d rung %d, payload is tile %d rung %d", tile, rung, p.Tile, p.Rung)
 	}
 	frames, err := codec.DecodeSequence(p.Bits)
 	if err != nil {
-		return segmentEntry{}, err
+		return nil, err
 	}
-	return segmentEntry{frames: frames}, nil
+	return &segmentEntry{frames: frames}, nil
 }
 
 // loadTileLow downloads and decodes one backfill stream.
-func (f *Fetcher) loadTileLow(baseURL, video string, seg int) (segmentEntry, error) {
+func (f *Fetcher) loadTileLow(baseURL, video string, seg int) (*segmentEntry, error) {
 	payload, err := f.getLive(fmt.Sprintf("%s/v/%s/tilelow/%d", baseURL, video, seg), video, seg)
 	if err != nil {
-		return segmentEntry{}, err
+		return nil, err
 	}
 	return f.decodePayloadEntry(payload)
 }
@@ -436,12 +438,12 @@ func (f *Fetcher) decodePayload(payload []byte) ([]*frame.Frame, error) {
 	return codec.DecodeSequence(bits)
 }
 
-func (f *Fetcher) decodePayloadEntry(payload []byte) (segmentEntry, error) {
+func (f *Fetcher) decodePayloadEntry(payload []byte) (*segmentEntry, error) {
 	frames, err := f.decodePayload(payload)
 	if err != nil {
-		return segmentEntry{}, err
+		return nil, err
 	}
-	return segmentEntry{frames: frames}, nil
+	return &segmentEntry{frames: frames}, nil
 }
 
 // get performs one HTTP GET with per-attempt timeout, bounded retries with

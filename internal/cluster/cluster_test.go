@@ -403,7 +403,7 @@ func TestClusterMetricsEndpoints(t *testing.T) {
 		}
 	}
 	prom := get(router, "/metrics?format=prom")
-	for _, want := range []string{promRouterRequests, promEdgeHits, promRouterShardRequests} {
+	for _, want := range []string{promRouterRequests, "evr_edge_hits_total", promRouterShardRequests} {
 		if !bytes.Contains(prom.Body.Bytes(), []byte(want)) {
 			t.Errorf("prom exposition missing %s", want)
 		}
@@ -445,7 +445,7 @@ func TestEdgePurgeVideoDoomsInflight(t *testing.T) {
 	done := make(chan *edgeResp, 1)
 	key := edgeKey{video: "V", seg: "0", kind: "orig"}
 	go func() {
-		resp, _ := ec.get(key, func() (*edgeResp, int) {
+		resp, _ := edgeGet(ec, key, func() (*edgeResp, int) {
 			loads++
 			close(loadStarted)
 			<-releaseLoad
@@ -454,20 +454,20 @@ func TestEdgePurgeVideoDoomsInflight(t *testing.T) {
 		done <- resp
 	}()
 	<-loadStarted
-	ec.purgeVideo("V")
+	purgeEdgeVideo(ec, "V")
 	close(releaseLoad)
 	if resp := <-done; string(resp.body) != "stale" {
 		t.Fatalf("waiter got %q, want the in-flight result", resp.body)
 	}
 	// The doomed flight must not have cached: the next get loads again.
-	fresh, hit := ec.get(key, func() (*edgeResp, int) {
+	fresh, hit := edgeGet(ec, key, func() (*edgeResp, int) {
 		loads++
 		return &edgeResp{status: http.StatusOK, body: []byte("fresh")}, 0
 	})
 	if hit || string(fresh.body) != "fresh" || loads != 2 {
 		t.Errorf("purged-during-flight entry was cached: hit=%v body=%q loads=%d", hit, fresh.body, loads)
 	}
-	if st := ec.stats(); st.Doomed != 1 {
+	if st := edgeStats(ec); st.Doomed != 1 {
 		t.Errorf("Doomed = %d, want 1", st.Doomed)
 	}
 }
@@ -478,24 +478,24 @@ func TestEdgePurgeMovedTargetsOwnership(t *testing.T) {
 	ec := newEdgeCache(1<<20, telemetry.NewRegistry())
 	stay := edgeKey{video: "V", seg: "0", kind: "orig"}
 	move := edgeKey{video: "V", seg: "1", kind: "orig"}
-	ec.get(stay, func() (*edgeResp, int) { return &edgeResp{status: 200, body: []byte("a")}, 0 })
-	ec.get(move, func() (*edgeResp, int) { return &edgeResp{status: 200, body: []byte("b")}, 1 })
+	edgeGet(ec, stay, func() (*edgeResp, int) { return &edgeResp{status: 200, body: []byte("a")}, 0 })
+	edgeGet(ec, move, func() (*edgeResp, int) { return &edgeResp{status: 200, body: []byte("b")}, 1 })
 
 	// Shard 1 died: its keys now belong to shard 0, shard 0's keys don't move.
-	ec.purgeMoved(func(video, seg string) int { return 0 })
+	purgeEdgeMoved(ec, func(video, seg string) int { return 0 })
 
-	if _, hit := ec.get(stay, func() (*edgeResp, int) { t.Fatal("stable entry reloaded"); return nil, -1 }); !hit {
+	if _, hit := edgeGet(ec, stay, func() (*edgeResp, int) { t.Fatal("stable entry reloaded"); return nil, -1 }); !hit {
 		t.Error("entry with unmoved ownership was purged")
 	}
 	reloaded := false
-	ec.get(move, func() (*edgeResp, int) {
+	edgeGet(ec, move, func() (*edgeResp, int) {
 		reloaded = true
 		return &edgeResp{status: 200, body: []byte("b")}, 0
 	})
 	if !reloaded {
 		t.Error("entry whose ownership moved survived the topology purge")
 	}
-	if st := ec.stats(); st.Purged != 1 {
+	if st := edgeStats(ec); st.Purged != 1 {
 		t.Errorf("Purged = %d, want 1", st.Purged)
 	}
 }
@@ -507,15 +507,25 @@ func TestEdgeUncacheableResponsesPassThrough(t *testing.T) {
 	key := edgeKey{video: "V", seg: "9", kind: "orig"}
 	loads := 0
 	for i := 0; i < 2; i++ {
-		_, hit := ec.get(key, func() (*edgeResp, int) {
+		resp, hit := edgeGet(ec, key, func() (*edgeResp, int) {
 			loads++
 			return &edgeResp{status: http.StatusNotFound, body: []byte("nope")}, 0
 		})
-		if hit {
-			t.Fatal("uncacheable response served as an edge hit")
+		if hit || string(resp.body) != "nope" {
+			t.Fatalf("uncacheable response: hit=%v body=%q", hit, resp.body)
 		}
 	}
 	if loads != 2 {
 		t.Errorf("404 was cached: %d loads, want 2", loads)
+	}
+	// A 200 that no live shard served (owner -1) is served, never cached.
+	for i := 0; i < 2; i++ {
+		edgeGet(ec, key, func() (*edgeResp, int) {
+			loads++
+			return &edgeResp{status: http.StatusOK, body: []byte("orphan")}, -1
+		})
+	}
+	if st := edgeStats(ec); loads != 4 || st.Entries != 0 {
+		t.Errorf("ownerless response was cached: %d loads, %+v", loads, st)
 	}
 }

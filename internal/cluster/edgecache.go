@@ -1,10 +1,10 @@
 package cluster
 
 import (
-	"container/list"
+	"errors"
 	"net/http"
-	"sync"
 
+	"evr/internal/lru"
 	"evr/internal/telemetry"
 )
 
@@ -37,20 +37,9 @@ type edgeResp struct {
 // pass through uncached so a recovered shard is visible immediately.
 func (r *edgeResp) cacheable() bool { return r.status == http.StatusOK }
 
-// edgeFlight is one in-flight routed load shared by concurrent identical
-// requests. doomed (guarded by edgeCache.mu) marks flights overtaken by a
-// purge or a topology change: served, never inserted.
-type edgeFlight struct {
-	done   chan struct{}
-	resp   *edgeResp
-	owner  int
-	doomed bool
-}
-
-// edgeEntry is one resident payload plus the shard that served it — the
-// ownership record targeted purges match against.
-type edgeEntry struct {
-	key   edgeKey
+// edgeVal is one resident payload plus the shard that served it — the
+// ownership record the topology purge matches against.
+type edgeVal struct {
 	resp  *edgeResp
 	owner int
 }
@@ -78,223 +67,85 @@ func (s EdgeStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// Prometheus metric names for the edge tier.
-const (
-	promEdgeHits      = "evr_edge_hits_total"
-	promEdgeMisses    = "evr_edge_misses_total"
-	promEdgeCoalesced = "evr_edge_coalesced_total"
-	promEdgeEvictions = "evr_edge_evictions_total"
-	promEdgeOversized = "evr_edge_oversized_total"
-	promEdgeDoomed    = "evr_edge_doomed_total"
-	promEdgePurged    = "evr_edge_purged_total"
-	promEdgeEntries   = "evr_edge_entries"
-	promEdgeBytes     = "evr_edge_bytes"
-)
-
 // edgeCache is the router's second-level response cache: a bounded LRU of
-// routed payloads with singleflight coalescing, the same shape as the
+// routed payloads with singleflight coalescing, the same primitive as the
 // shard-side respCache but keyed on raw path values and carrying full
 // response envelopes plus shard ownership. It is what absorbs the head of
-// a Zipf popularity distribution before it reaches any shard. Safe for
-// concurrent use.
-type edgeCache struct {
-	hits      *telemetry.Counter
-	misses    *telemetry.Counter
-	coalesced *telemetry.Counter
-	evictions *telemetry.Counter
-	oversized *telemetry.Counter
-	doomed    *telemetry.Counter
-	purged    *telemetry.Counter
-	entriesG  *telemetry.Gauge
-	bytesG    *telemetry.Gauge
+// a Zipf popularity distribution before it reaches any shard. The nil
+// cache (edge tier disabled) routes every request.
+type edgeCache = lru.Cache[edgeKey, edgeVal]
 
-	mu       sync.Mutex
-	maxBytes int64
-	bytes    int64
-	order    *list.List // front = most recently used; values are *edgeEntry
-	items    map[edgeKey]*list.Element
-	flights  map[edgeKey]*edgeFlight
-}
+// errUncached is the load result for a response that must not enter the
+// edge: not cacheable, or no live shard served it. Waiters still get the
+// response through the value.
+var errUncached = errors.New("cluster: response not cacheable at the edge")
 
 // newEdgeCache builds an edge cache with the given payload-byte budget,
-// registering its series on the router's registry. maxBytes ≤ 0 returns
-// nil — the router then forwards every request.
+// its evr_edge_* series on reg. maxBytes ≤ 0 returns nil.
 func newEdgeCache(maxBytes int64, reg *telemetry.Registry) *edgeCache {
 	if maxBytes <= 0 {
 		return nil
 	}
-	reg.SetHelp(promEdgeHits, "segment responses served from the edge cache")
-	reg.SetHelp(promEdgeMisses, "segment responses routed to a shard")
-	reg.SetHelp(promEdgeCoalesced, "segment requests that joined an in-flight identical routed load")
-	reg.SetHelp(promEdgeEvictions, "edge-cache entries evicted under the byte budget")
-	reg.SetHelp(promEdgeOversized, "payloads larger than the whole edge budget (served, never cached)")
-	reg.SetHelp(promEdgeDoomed, "in-flight routed loads overtaken by a purge or topology change")
-	reg.SetHelp(promEdgePurged, "edge-cache entries dropped by video purges and topology changes")
-	reg.SetHelp(promEdgeEntries, "live edge-cache entries")
-	reg.SetHelp(promEdgeBytes, "live edge-cache payload bytes")
-	return &edgeCache{
-		hits:      reg.Counter(promEdgeHits),
-		misses:    reg.Counter(promEdgeMisses),
-		coalesced: reg.Counter(promEdgeCoalesced),
-		evictions: reg.Counter(promEdgeEvictions),
-		oversized: reg.Counter(promEdgeOversized),
-		doomed:    reg.Counter(promEdgeDoomed),
-		purged:    reg.Counter(promEdgePurged),
-		entriesG:  reg.Gauge(promEdgeEntries),
-		bytesG:    reg.Gauge(promEdgeBytes),
-		maxBytes:  maxBytes,
-		order:     list.New(),
-		items:     make(map[edgeKey]*list.Element),
-		flights:   make(map[edgeKey]*edgeFlight),
-	}
+	return lru.New[edgeKey](maxBytes, func(v edgeVal) int64 { return int64(len(v.resp.body)) }, reg, "evr_edge")
 }
 
-// get serves key from the edge when resident, otherwise routes exactly one
-// load per concurrent wave through load (which returns the upstream
+// edgeGet serves key from the edge when resident, otherwise routes exactly
+// one load per concurrent wave through load (which returns the upstream
 // response and the shard that served it, -1 when routing failed). Only
 // cacheable responses from a live shard are inserted, and only when no
 // purge or topology change overtook the flight. hit reports an edge serve.
-func (c *edgeCache) get(key edgeKey, load func() (*edgeResp, int)) (resp *edgeResp, hit bool) {
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.order.MoveToFront(el)
-		resp := el.Value.(*edgeEntry).resp
-		c.mu.Unlock()
-		c.hits.Inc()
-		return resp, true
-	}
-	if fl, ok := c.flights[key]; ok {
-		c.mu.Unlock()
-		c.coalesced.Inc()
-		<-fl.done
-		return fl.resp, false
-	}
-	fl := &edgeFlight{done: make(chan struct{})}
-	c.flights[key] = fl
-	c.mu.Unlock()
-	c.misses.Inc()
-
-	fl.resp, fl.owner = load()
-
-	c.mu.Lock()
-	delete(c.flights, key)
-	if fl.doomed {
-		c.doomed.Inc()
-	} else if fl.resp.cacheable() && fl.owner >= 0 {
-		c.insertLocked(key, fl.resp, fl.owner)
-	}
-	c.mu.Unlock()
-	close(fl.done)
-	return fl.resp, false
-}
-
-// insertLocked adds an entry and evicts LRU entries past the byte budget.
-// Over-budget payloads are counted and skipped, as in the shard cache.
-func (c *edgeCache) insertLocked(key edgeKey, resp *edgeResp, owner int) {
-	size := int64(len(resp.body))
-	if size > c.maxBytes {
-		c.oversized.Inc()
-		return
-	}
-	if el, ok := c.items[key]; ok {
-		entry := el.Value.(*edgeEntry)
-		c.bytes += size - int64(len(entry.resp.body))
-		entry.resp = resp
-		entry.owner = owner
-		c.order.MoveToFront(el)
-	} else {
-		c.items[key] = c.order.PushFront(&edgeEntry{key: key, resp: resp, owner: owner})
-		c.bytes += size
-	}
-	for c.bytes > c.maxBytes {
-		oldest := c.order.Back()
-		entry := oldest.Value.(*edgeEntry)
-		c.order.Remove(oldest)
-		delete(c.items, entry.key)
-		c.bytes -= int64(len(entry.resp.body))
-		c.evictions.Inc()
-	}
-	c.entriesG.Set(int64(c.order.Len()))
-	c.bytesG.Set(c.bytes)
-}
-
-// purgeVideo drops every edge payload of one video and dooms its in-flight
-// loads — re-ingest purge propagation, with the same overtaken-flight rule
-// the shard cache applies.
-func (c *edgeCache) purgeVideo(video string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.removeLocked(func(e *edgeEntry) bool { return e.key.video == video })
-	for key, fl := range c.flights {
-		if key.video == video {
-			fl.doomed = true
+func edgeGet(c *edgeCache, key edgeKey, load func() (*edgeResp, int)) (resp *edgeResp, hit bool) {
+	v, outcome, _ := c.Get(key, func() (edgeVal, error) {
+		resp, owner := load()
+		if !resp.cacheable() || owner < 0 {
+			return edgeVal{resp: resp}, errUncached
 		}
-	}
+		return edgeVal{resp: resp, owner: owner}, nil
+	})
+	return v.resp, outcome == lru.Hit
 }
 
-// purgeSegment drops every edge payload of one (video, segment) and dooms
-// its in-flight loads — live-publish propagation: the segment transitions
-// from 425 to a real payload, and any cached too-early envelope or stale
-// flight must not outlive the publish.
-func (c *edgeCache) purgeSegment(video, seg string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.removeLocked(func(e *edgeEntry) bool { return e.key.video == video && e.key.seg == seg })
-	for key, fl := range c.flights {
-		if key.video == video && key.seg == seg {
-			fl.doomed = true
-		}
-	}
+// purgeEdgeVideo drops every edge payload of one video and dooms its
+// in-flight loads — re-ingest purge propagation, with the same
+// overtaken-flight rule the shard cache applies.
+func purgeEdgeVideo(c *edgeCache, video string) {
+	c.Purge(func(k edgeKey, _ edgeVal) bool { return k.video == video },
+		func(k edgeKey) bool { return k.video == video })
 }
 
-// purgeMoved enforces the edge ownership invariant after a topology
+// purgeEdgeSegment drops every edge payload of one (video, segment) and
+// dooms its in-flight loads — live-publish propagation: the segment
+// transitions from 425 to a real payload, and any cached too-early
+// envelope or stale flight must not outlive the publish.
+func purgeEdgeSegment(c *edgeCache, video, seg string) {
+	match := func(k edgeKey) bool { return k.video == video && k.seg == seg }
+	c.Purge(func(k edgeKey, _ edgeVal) bool { return match(k) }, match)
+}
+
+// purgeEdgeMoved enforces the edge ownership invariant after a topology
 // change: every resident entry must have been served by the shard that
 // currently owns its key. Entries whose ownership moved (a killed shard's
 // keys now belong to its ring successors; a restarted shard reclaims keys
 // its stand-ins served) are dropped, and every in-flight load is doomed —
 // its recorded owner may be stale by the time it lands.
-func (c *edgeCache) purgeMoved(owner func(video, seg string) int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.removeLocked(func(e *edgeEntry) bool { return owner(e.key.video, e.key.seg) != e.owner })
-	for _, fl := range c.flights {
-		fl.doomed = true
-	}
+func purgeEdgeMoved(c *edgeCache, owner func(video, seg string) int) {
+	c.Purge(func(k edgeKey, v edgeVal) bool { return owner(k.video, k.seg) != v.owner },
+		func(edgeKey) bool { return true })
 }
 
-// removeLocked drops every entry matching drop and refreshes the gauges.
-func (c *edgeCache) removeLocked(drop func(*edgeEntry) bool) {
-	for el := c.order.Front(); el != nil; {
-		next := el.Next()
-		if entry := el.Value.(*edgeEntry); drop(entry) {
-			c.order.Remove(el)
-			delete(c.items, entry.key)
-			c.bytes -= int64(len(entry.resp.body))
-			c.purged.Inc()
-		}
-		el = next
-	}
-	c.entriesG.Set(int64(c.order.Len()))
-	c.bytesG.Set(c.bytes)
-}
-
-// stats snapshots the edge cache counters.
-func (c *edgeCache) stats() EdgeStats {
-	c.mu.Lock()
-	entries := int64(c.order.Len())
-	bytes := c.bytes
-	maxBytes := c.maxBytes
-	c.mu.Unlock()
+// edgeStats converts the cache's stats to the exported shape.
+func edgeStats(c *edgeCache) EdgeStats {
+	st := c.Stats()
 	return EdgeStats{
-		Hits:      c.hits.Value(),
-		Misses:    c.misses.Value(),
-		Coalesced: c.coalesced.Value(),
-		Evictions: c.evictions.Value(),
-		Oversized: c.oversized.Value(),
-		Doomed:    c.doomed.Value(),
-		Purged:    c.purged.Value(),
-		Entries:   entries,
-		Bytes:     bytes,
-		MaxBytes:  maxBytes,
+		Hits:      st.Hits,
+		Misses:    st.Misses,
+		Coalesced: st.Coalesced,
+		Evictions: st.Evictions,
+		Oversized: st.Oversized,
+		Doomed:    st.Doomed,
+		Purged:    st.Purged,
+		Entries:   st.Entries,
+		Bytes:     st.Bytes,
+		MaxBytes:  st.Budget,
 	}
 }

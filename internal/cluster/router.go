@@ -47,14 +47,8 @@ func (c *Cluster) tileProxy(w http.ResponseWriter, r *http.Request) {
 	c.requests.Inc()
 	video, seg := r.PathValue("video"), r.PathValue("seg")
 	tileID := r.PathValue("tile") + "/" + r.PathValue("rung")
-	load := func() (*edgeResp, int) { return c.route(video, seg, r) }
-	var resp *edgeResp
-	var hit bool
-	if c.edge != nil {
-		resp, hit = c.edge.get(edgeKey{video: video, seg: seg, cluster: tileID, kind: "tile"}, load)
-	} else {
-		resp, _ = load()
-	}
+	resp, hit := edgeGet(c.edge, edgeKey{video: video, seg: seg, cluster: tileID, kind: "tile"},
+		func() (*edgeResp, int) { return c.route(video, seg, r) })
 	writeResp(w, resp, hit)
 }
 
@@ -167,14 +161,8 @@ func (c *Cluster) segmentProxy(kind string) http.HandlerFunc {
 		if kind != "orig" {
 			clusterID = r.PathValue("cluster")
 		}
-		load := func() (*edgeResp, int) { return c.route(video, seg, r) }
-		var resp *edgeResp
-		var hit bool
-		if c.edge != nil {
-			resp, hit = c.edge.get(edgeKey{video: video, seg: seg, cluster: clusterID, kind: kind}, load)
-		} else {
-			resp, _ = load()
-		}
+		resp, hit := edgeGet(c.edge, edgeKey{video: video, seg: seg, cluster: clusterID, kind: kind},
+			func() (*edgeResp, int) { return c.route(video, seg, r) })
 		writeResp(w, resp, hit)
 	}
 }

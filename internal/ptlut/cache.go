@@ -1,25 +1,15 @@
 package ptlut
 
 import (
-	"container/list"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"evr/internal/lru"
 	"evr/internal/telemetry"
 )
 
-// Prometheus metric names for the mapping-LUT cache.
-const (
-	promHits      = "evr_ptlut_hits_total"
-	promMisses    = "evr_ptlut_misses_total"
-	promCoalesced = "evr_ptlut_coalesced_total"
-	promEvictions = "evr_ptlut_evictions_total"
-	promOversized = "evr_ptlut_oversized_total"
-	promEntries   = "evr_ptlut_entries"
-	promBytes     = "evr_ptlut_bytes"
-	promBuildSecs = "evr_ptlut_build_seconds"
-)
+// promBuildSecs names the table-build histogram; the cache's other series
+// are evr_ptlut_* (see internal/lru).
+const promBuildSecs = "evr_ptlut_build_seconds"
 
 // DefaultCacheBytes is the default table budget: enough for a few 1080p
 // bilinear tables (~66 MB each) or hundreds of ingest-scale ones.
@@ -37,74 +27,28 @@ type CacheStats struct {
 	MaxBytes  int64 `json:"maxBytes"`  // configured budget
 }
 
-// buildFlight is one in-flight table build that concurrent identical
-// requests share instead of each running the mapping stage themselves.
-type buildFlight struct {
-	done chan struct{}
-	tbl  *Table
-	err  error
-}
-
 // Cache is a bytes-budgeted LRU of mapping tables with singleflight build
-// coalescing, mirroring the server's response cache: tables are immutable
-// and served to many concurrent renders; eviction is size-based because a
-// 1080p bilinear table outweighs an ingest-scale one by ~3 orders of
-// magnitude. Safe for concurrent use. The nil *Cache is valid and caches
-// nothing — every Get builds.
+// coalescing (internal/lru, the same primitive as the server's response
+// cache): tables are immutable and served to many concurrent renders;
+// eviction is size-based because a 1080p bilinear table outweighs an
+// ingest-scale one by ~3 orders of magnitude. Safe for concurrent use. The
+// nil *Cache is valid and caches nothing — every Get builds.
 type Cache struct {
-	hits      *telemetry.Counter
-	misses    *telemetry.Counter
-	coalesced *telemetry.Counter
-	evictions *telemetry.Counter
-	oversized *telemetry.Counter
-	entriesG  *telemetry.Gauge
-	bytesG    *telemetry.Gauge
+	tables    *lru.Cache[Key, *Table]
 	buildSecs *telemetry.Histogram
-
-	// Stats counters are kept on the cache itself (atomically) rather than
-	// read back from telemetry: the telemetry handles are nil-safe no-ops
-	// when the cache is built without a registry.
-	nHits      atomic.Int64
-	nMisses    atomic.Int64
-	nCoalesced atomic.Int64
-	nEvictions atomic.Int64
-	nOversized atomic.Int64
-
-	mu       sync.Mutex
-	maxBytes int64
-	bytes    int64
-	order    *list.List // front = most recently used; values are *Table
-	items    map[Key]*list.Element
-	flights  map[Key]*buildFlight
 }
 
 // NewCache builds a table cache with the given byte budget (<= 0 uses
-// DefaultCacheBytes), hanging its metrics on reg (nil = no telemetry).
+// DefaultCacheBytes), hanging its evr_ptlut_* metrics on reg (nil = no
+// telemetry).
 func NewCache(maxBytes int64, reg *telemetry.Registry) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultCacheBytes
 	}
-	reg.SetHelp(promHits, "renders served from a resident mapping table")
-	reg.SetHelp(promMisses, "mapping-table builds")
-	reg.SetHelp(promCoalesced, "renders that joined an in-flight table build")
-	reg.SetHelp(promEvictions, "mapping tables evicted under the byte budget")
-	reg.SetHelp(promOversized, "mapping tables larger than the whole budget (never cached)")
-	reg.SetHelp(promEntries, "resident mapping tables")
-	reg.SetHelp(promBytes, "resident mapping-table bytes")
 	reg.SetHelp(promBuildSecs, "mapping-table build wall time in seconds")
 	return &Cache{
-		hits:      reg.Counter(promHits),
-		misses:    reg.Counter(promMisses),
-		coalesced: reg.Counter(promCoalesced),
-		evictions: reg.Counter(promEvictions),
-		oversized: reg.Counter(promOversized),
-		entriesG:  reg.Gauge(promEntries),
-		bytesG:    reg.Gauge(promBytes),
+		tables:    lru.New[Key](maxBytes, (*Table).Bytes, reg, "evr_ptlut"),
 		buildSecs: reg.Histogram(promBuildSecs, telemetry.DefaultStageBuckets()),
-		maxBytes:  maxBytes,
-		order:     list.New(),
-		items:     make(map[Key]*list.Element),
-		flights:   make(map[Key]*buildFlight),
 	}
 }
 
@@ -117,73 +61,13 @@ func (c *Cache) Get(key Key, build func() (*Table, error)) (*Table, error) {
 	if c == nil {
 		return build()
 	}
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.order.MoveToFront(el)
-		tbl := el.Value.(*Table)
-		c.mu.Unlock()
-		c.nHits.Add(1)
-		c.hits.Inc()
-		return tbl, nil
-	}
-	if fl, ok := c.flights[key]; ok {
-		c.mu.Unlock()
-		c.nCoalesced.Add(1)
-		c.coalesced.Inc()
-		<-fl.done
-		return fl.tbl, fl.err
-	}
-	fl := &buildFlight{done: make(chan struct{})}
-	c.flights[key] = fl
-	c.mu.Unlock()
-	c.nMisses.Add(1)
-	c.misses.Inc()
-
-	t0 := time.Now()
-	fl.tbl, fl.err = build()
-	c.buildSecs.ObserveDuration(time.Since(t0))
-
-	c.mu.Lock()
-	delete(c.flights, key)
-	if fl.err == nil {
-		c.insertLocked(key, fl.tbl)
-	}
-	c.mu.Unlock()
-	close(fl.done)
-	return fl.tbl, fl.err
-}
-
-// insertLocked adds a table and evicts LRU entries past the byte budget.
-// A table larger than the whole budget is rejected up front — inserting it
-// would evict every resident table and still bust the budget — and counted
-// so a mis-sized budget is visible in telemetry.
-func (c *Cache) insertLocked(key Key, tbl *Table) {
-	size := tbl.Bytes()
-	if size > c.maxBytes {
-		c.nOversized.Add(1)
-		c.oversized.Inc()
-		return
-	}
-	if _, ok := c.items[key]; ok {
-		// A concurrent flight for the same key can finish between our
-		// flight-map delete and this insert only if keys collide across
-		// caches — tables are immutable and interchangeable, keep the
-		// resident one.
-		return
-	}
-	c.items[key] = c.order.PushFront(tbl)
-	c.bytes += size
-	for c.bytes > c.maxBytes {
-		oldest := c.order.Back()
-		old := oldest.Value.(*Table)
-		c.order.Remove(oldest)
-		delete(c.items, old.key)
-		c.bytes -= old.Bytes()
-		c.nEvictions.Add(1)
-		c.evictions.Inc()
-	}
-	c.entriesG.Set(int64(c.order.Len()))
-	c.bytesG.Set(c.bytes)
+	tbl, _, err := c.tables.Get(key, func() (*Table, error) {
+		t0 := time.Now()
+		tbl, err := build()
+		c.buildSecs.ObserveDuration(time.Since(t0))
+		return tbl, err
+	})
+	return tbl, err
 }
 
 // Stats snapshots the cache counters. The nil cache reports zeros.
@@ -191,19 +75,15 @@ func (c *Cache) Stats() CacheStats {
 	if c == nil {
 		return CacheStats{}
 	}
-	c.mu.Lock()
-	entries := int64(c.order.Len())
-	bytes := c.bytes
-	maxBytes := c.maxBytes
-	c.mu.Unlock()
+	st := c.tables.Stats()
 	return CacheStats{
-		Hits:      c.nHits.Load(),
-		Misses:    c.nMisses.Load(),
-		Coalesced: c.nCoalesced.Load(),
-		Evictions: c.nEvictions.Load(),
-		Oversized: c.nOversized.Load(),
-		Entries:   entries,
-		Bytes:     bytes,
-		MaxBytes:  maxBytes,
+		Hits:      st.Hits,
+		Misses:    st.Misses,
+		Coalesced: st.Coalesced,
+		Evictions: st.Evictions,
+		Oversized: st.Oversized,
+		Entries:   st.Entries,
+		Bytes:     st.Bytes,
+		MaxBytes:  st.Budget,
 	}
 }

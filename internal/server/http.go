@@ -83,9 +83,7 @@ func (s *Service) ServeLive(ls *LiveStream) {
 	s.mu.Lock()
 	s.live[video] = ls
 	s.mu.Unlock()
-	if s.cache != nil {
-		ls.OnPublish(func(seg int) { s.cache.purgeSegment(video, seg) })
-	}
+	ls.OnPublish(func(seg int) { purgeRespSegment(s.cache, video, seg) })
 }
 
 // liveStream returns the live stream serving video, if any.
@@ -104,9 +102,6 @@ func (s *Service) SetStoreDelay(d time.Duration) {
 // TooEarly returns how many live requests were rejected ahead of the edge.
 func (s *Service) TooEarly() int64 { return s.tooEarly.Value() }
 
-// LiveBehind snapshots the server-side time-behind-live histogram.
-func (s *Service) LiveBehind() telemetry.HistogramSnapshot { return s.liveBehind.Snapshot() }
-
 // Metrics exposes the service's request counters.
 func (s *Service) Metrics() *Metrics { return s.metrics }
 
@@ -122,7 +117,7 @@ func (s *Service) RespCacheStats() (stats RespCacheStats, ok bool) {
 	if s.cache == nil {
 		return RespCacheStats{}, false
 	}
-	return s.cache.stats(), true
+	return respCacheStats(s.cache), true
 }
 
 // Throttled returns how many segment requests admission control has shed.
@@ -139,9 +134,7 @@ func (s *Service) IngestVideo(v scene.VideoSpec, cfg IngestConfig) (*Manifest, e
 	s.mu.Lock()
 	s.manifests[v.Name] = man
 	s.mu.Unlock()
-	if s.cache != nil {
-		s.cache.purgeVideo(v.Name)
-	}
+	purgeRespVideo(s.cache, v.Name)
 	return man, nil
 }
 
@@ -155,9 +148,7 @@ func (s *Service) Publish(man *Manifest) {
 	s.mu.Lock()
 	s.manifests[man.Video] = man
 	s.mu.Unlock()
-	if s.cache != nil {
-		s.cache.purgeVideo(man.Video)
-	}
+	purgeRespVideo(s.cache, man.Video)
 }
 
 // Manifest returns the manifest of a published video. Live streams serve
@@ -344,7 +335,7 @@ func (s *Service) segmentHandler(endpoint string, kind respKind) http.HandlerFun
 // is enabled (hot payloads skip the store read and its copy; concurrent
 // identical misses coalesce into one load).
 func (s *Service) payload(key respKey) ([]byte, bool) {
-	load := func() ([]byte, bool) {
+	data, _, err := s.cache.Get(key, func() ([]byte, error) {
 		if d := time.Duration(s.storeDelay.Load()); d > 0 {
 			time.Sleep(d)
 		}
@@ -361,17 +352,14 @@ func (s *Service) payload(key respKey) ([]byte, bool) {
 		}
 		data, meta, ok := s.store.Get(sk)
 		if !ok {
-			return nil, false
+			return nil, errNotStored
 		}
 		if key.kind == respFOVMeta {
-			return meta, true
+			return meta, nil
 		}
-		return data, true
-	}
-	if s.cache == nil {
-		return load()
-	}
-	return s.cache.get(key, load)
+		return data, nil
+	})
+	return data, err == nil
 }
 
 // admit reserves an in-flight slot, or sheds the request with 503 +

@@ -8,7 +8,6 @@ import (
 
 	"evr/internal/scene"
 	"evr/internal/store"
-	"evr/internal/telemetry"
 )
 
 // PublishedAtHeader carries a live segment's publish timestamp (unix
@@ -156,7 +155,6 @@ type LiveStream struct {
 	prepared  atomic.Int64
 	published []atomic.Int64 // unix nanos per segment; 0 = unpublished
 	startNs   atomic.Int64
-	lag       *telemetry.Histogram // publish lateness vs schedule, seconds
 
 	mu        sync.Mutex
 	onPublish []func(seg int)
@@ -198,7 +196,6 @@ func NewLiveStream(v scene.VideoSpec, cfg IngestConfig, st *store.Store) (*LiveS
 		total:     total,
 		nSegs:     nSegs,
 		published: make([]atomic.Int64, nSegs),
-		lag:       telemetry.NewHistogram(telemetry.DefaultLatencyBuckets()),
 		hold:      make(map[int]int),
 		done:      make(chan struct{}),
 	}
@@ -238,9 +235,6 @@ func (ls *LiveStream) Prepared() int { return int(ls.prepared.Load()) }
 // Clock returns the clock driving the schedule.
 func (ls *LiveStream) Clock() Clock { return ls.clock }
 
-// Interval returns the publish cadence.
-func (ls *LiveStream) Interval() time.Duration { return ls.interval }
-
 // PublishedAtNs returns the publish timestamp of a segment in unix
 // nanoseconds, or false while it is still ahead of the edge.
 func (ls *LiveStream) PublishedAtNs(seg int) (int64, bool) {
@@ -250,10 +244,6 @@ func (ls *LiveStream) PublishedAtNs(seg int) (int64, bool) {
 	ns := ls.published[seg].Load()
 	return ns, ns != 0
 }
-
-// PublishLag snapshots the publish-lateness histogram (seconds the actual
-// publish trailed its scheduled due time).
-func (ls *LiveStream) PublishLag() telemetry.HistogramSnapshot { return ls.lag.Snapshot() }
 
 // OnPublish registers a hook called after each segment publish is visible
 // (store committed, manifest swapped, edge advanced). Services use it to
@@ -363,11 +353,6 @@ func (ls *LiveStream) publisher(queue <-chan liveSegment) {
 		man.LiveEdge = item.si + 1
 		ls.man.Store(&man)
 		ls.edge.Store(int64(item.si + 1))
-		if lag := now.Sub(ls.dueTime(item.si)); lag > 0 {
-			ls.lag.Observe(lag.Seconds())
-		} else {
-			ls.lag.Observe(0)
-		}
 		ls.mu.Lock()
 		hooks := make([]func(int), len(ls.onPublish))
 		copy(hooks, ls.onPublish)

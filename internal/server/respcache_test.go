@@ -3,11 +3,11 @@ package server
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"evr/internal/codec"
+	"evr/internal/lru"
 	"evr/internal/telemetry"
 )
 
@@ -19,200 +19,103 @@ func rk(video string, seg int) respKey {
 	return respKey{video: video, seg: seg, kind: respOrig}
 }
 
+// TestRespCacheHitAfterMiss pins the port's shape: payloads are served
+// through the cache, priced by their byte length, and reported in
+// RespCacheStats.
 func TestRespCacheHitAfterMiss(t *testing.T) {
-	c := newTestRespCache(1 << 20)
-	loads := 0
-	load := func() ([]byte, bool) { loads++; return []byte("payload"), true }
-	for i := 0; i < 3; i++ {
-		data, ok := c.get(rk("v", 0), load)
-		if !ok || string(data) != "payload" {
-			t.Fatalf("get %d = %q, %v", i, data, ok)
+	svc := fabricateService(t, DefaultServiceOptions())
+	key := respKey{video: "V", seg: 0, kind: respOrig}
+	first, ok := svc.payload(key)
+	if !ok {
+		t.Fatal("seed payload unavailable")
+	}
+	for i := 0; i < 2; i++ {
+		if data, ok := svc.payload(key); !ok || string(data) != string(first) {
+			t.Fatalf("get %d = %d bytes, %v", i, len(data), ok)
 		}
 	}
-	if loads != 1 {
-		t.Errorf("loader ran %d times, want 1", loads)
-	}
-	st := c.stats()
-	if st.Hits != 2 || st.Misses != 1 || st.Entries != 1 || st.Bytes != 7 {
+	st, ok := svc.RespCacheStats()
+	if !ok || st.Hits != 2 || st.Misses != 1 || st.Entries != 1 || st.Bytes != int64(len(first)) ||
+		st.MaxBytes != DefaultServiceOptions().RespCacheBytes {
 		t.Errorf("stats = %+v", st)
 	}
 }
 
+// TestRespCacheNegativeResultNotCached pins the store-miss sentinel: a key
+// absent from the store answers !ok, is never cached, and a later request
+// goes back to the store.
 func TestRespCacheNegativeResultNotCached(t *testing.T) {
-	c := newTestRespCache(1 << 20)
-	loads := 0
-	miss := func() ([]byte, bool) { loads++; return nil, false }
-	if _, ok := c.get(rk("v", 0), miss); ok {
-		t.Fatal("missing key reported ok")
-	}
-	if _, ok := c.get(rk("v", 0), miss); ok {
-		t.Fatal("missing key reported ok on retry")
-	}
-	if loads != 2 {
-		t.Errorf("negative result was cached: %d loads, want 2", loads)
-	}
-	if st := c.stats(); st.Entries != 0 || st.Bytes != 0 {
-		t.Errorf("negative entry leaked into the cache: %+v", st)
-	}
-}
-
-func TestRespCacheSizeBasedEviction(t *testing.T) {
-	c := newTestRespCache(100)
-	payload := make([]byte, 40)
-	fill := func() ([]byte, bool) { return payload, true }
-	mustHit := func(seg int) {
-		t.Helper()
-		c.get(rk("v", seg), func() ([]byte, bool) { t.Errorf("seg %d missed, want hit", seg); return payload, true })
-	}
-	c.get(rk("v", 0), fill)
-	c.get(rk("v", 1), fill)
-	mustHit(0) // promote seg 0: seg 1 is now LRU
-	c.get(rk("v", 2), fill)
-	// 3×40 = 120 > 100: exactly the LRU entry (seg 1) must be gone.
-	st := c.stats()
-	if st.Entries != 2 || st.Bytes != 80 || st.Evictions != 1 {
-		t.Fatalf("after overflow: %+v", st)
-	}
-	mustHit(0)
-	mustHit(2)
-	reloaded := false
-	c.get(rk("v", 1), func() ([]byte, bool) { reloaded = true; return payload, true })
-	if !reloaded {
-		t.Error("evicted entry still served from cache")
-	}
-}
-
-func TestRespCacheOversizedPayloadServedNotCached(t *testing.T) {
-	c := newTestRespCache(10)
-	big := make([]byte, 11)
-	loads := 0
-	load := func() ([]byte, bool) { loads++; return big, true }
+	svc := fabricateService(t, DefaultServiceOptions())
 	for i := 0; i < 2; i++ {
-		data, ok := c.get(rk("v", 0), load)
-		if !ok || len(data) != 11 {
+		if _, ok := svc.payload(respKey{video: "V", seg: 9, kind: respOrig}); ok {
+			t.Fatalf("missing key reported ok (get %d)", i)
+		}
+	}
+	if st, _ := svc.RespCacheStats(); st.Misses != 2 || st.Entries != 0 || st.Bytes != 0 {
+		t.Errorf("negative result was cached: %+v", st)
+	}
+}
+
+// TestRespCacheOversizedPayloadServedNotCached pins that a budget below
+// the payload size still serves every request, and that the rejection is
+// visible in RespCacheStats instead of masquerading as a 0% hit rate.
+func TestRespCacheOversizedPayloadServedNotCached(t *testing.T) {
+	opts := DefaultServiceOptions()
+	opts.RespCacheBytes = 4
+	svc := fabricateService(t, opts)
+	for i := 0; i < 2; i++ {
+		if data, ok := svc.payload(respKey{video: "V", seg: 0, kind: respOrig}); !ok || len(data) <= 4 {
 			t.Fatalf("oversized payload not served: %d bytes, %v", len(data), ok)
 		}
 	}
-	if loads != 2 {
-		t.Errorf("oversized payload cached (%d loads)", loads)
-	}
-	st := c.stats()
-	if st.Entries != 0 || st.Bytes != 0 {
-		t.Errorf("oversized payload counted: %+v", st)
-	}
-	// Each rejected insert is visible in the oversized counter, and none of
-	// them churned resident entries to make room for a payload that could
-	// never fit.
-	if st.Oversized != 2 {
-		t.Errorf("Oversized = %d, want 2", st.Oversized)
-	}
-	if st.Evictions != 0 {
-		t.Errorf("oversized payload evicted residents: %+v", st)
+	st, _ := svc.RespCacheStats()
+	if st.Misses != 2 || st.Oversized != 2 || st.Entries != 0 || st.Bytes != 0 || st.Evictions != 0 {
+		t.Errorf("oversized accounting: %+v", st)
 	}
 }
 
-// TestRespCacheOversizedDoesNotEvictResidents pins that an over-budget
-// payload is rejected up front: the small entries already resident survive
-// it untouched.
-func TestRespCacheOversizedDoesNotEvictResidents(t *testing.T) {
-	c := newTestRespCache(100)
-	small := []byte("0123456789")
-	for i := 0; i < 3; i++ {
-		c.get(rk("v", i), func() ([]byte, bool) { return small, true })
-	}
-	huge := make([]byte, 101)
-	c.get(rk("v", 99), func() ([]byte, bool) { return huge, true })
-	st := c.stats()
-	if st.Entries != 3 || st.Bytes != 30 {
-		t.Fatalf("residents disturbed by oversized insert: %+v", st)
-	}
-	if st.Oversized != 1 || st.Evictions != 0 {
-		t.Fatalf("oversized accounting: %+v", st)
-	}
-	// All three residents still answer from cache.
-	hitsBefore := st.Hits
-	for i := 0; i < 3; i++ {
-		c.get(rk("v", i), func() ([]byte, bool) { t.Fatal("resident reloaded"); return nil, false })
-	}
-	if got := c.stats().Hits - hitsBefore; got != 3 {
-		t.Fatalf("residents hit %d times, want 3", got)
-	}
-}
-
-// TestRespCacheSingleflightCoalesces launches N concurrent requests for
-// the same cold key against a loader that blocks until every goroutine has
-// started: exactly one load may run, and the other N-1 requests must be
-// accounted as coalesced waits.
-func TestRespCacheSingleflightCoalesces(t *testing.T) {
-	const n = 16
-	c := newTestRespCache(1 << 20)
-	var loads atomic.Int64
-	started := make(chan struct{}, n)
-	release := make(chan struct{})
-	load := func() ([]byte, bool) {
-		loads.Add(1)
-		<-release // hold the flight open until all requesters are in
-		return []byte("shared"), true
-	}
-
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			started <- struct{}{}
-			data, ok := c.get(rk("v", 7), load)
-			if !ok || string(data) != "shared" {
-				t.Errorf("coalesced get = %q, %v", data, ok)
-			}
-		}()
-	}
-	// Wait for every goroutine to be running, then give the non-leaders a
-	// moment to reach the flight before releasing the loader.
-	for i := 0; i < n; i++ {
-		<-started
-	}
-	for c.coalesced.Value() != n-1 {
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	wg.Wait()
-
-	if got := loads.Load(); got != 1 {
-		t.Errorf("%d loads ran, want 1", got)
-	}
-	st := c.stats()
-	if st.Misses != 1 || st.Coalesced != n-1 {
-		t.Errorf("misses=%d coalesced=%d, want 1 and %d", st.Misses, st.Coalesced, n-1)
-	}
-	if st.Hits != 0 {
-		t.Errorf("hits=%d before any cached serve", st.Hits)
-	}
+// payloadLoad returns a load that yields data.
+func payloadLoad(data string) func() ([]byte, error) {
+	return func() ([]byte, error) { return []byte(data), nil }
 }
 
 func TestRespCachePurgeVideo(t *testing.T) {
 	c := newTestRespCache(1 << 20)
 	for seg := 0; seg < 3; seg++ {
-		c.get(rk("a", seg), func() ([]byte, bool) { return []byte{1, 2, 3}, true })
-		c.get(rk("b", seg), func() ([]byte, bool) { return []byte{4, 5}, true })
+		c.Get(rk("a", seg), payloadLoad("abc"))
+		c.Get(rk("b", seg), payloadLoad("de"))
 	}
-	c.purgeVideo("a")
-	st := c.stats()
+	purgeRespVideo(c, "a")
+	st := respCacheStats(c)
 	if st.Entries != 3 || st.Bytes != 6 {
 		t.Fatalf("after purge: %+v", st)
 	}
-	reloads := 0
 	for seg := 0; seg < 3; seg++ {
-		c.get(rk("a", seg), func() ([]byte, bool) { reloads++; return []byte{9}, true })
-		c.get(rk("b", seg), func() ([]byte, bool) { t.Error("purge dropped another video's entry"); return nil, false })
+		if c.Peek(rk("a", seg)) {
+			t.Errorf("purged video's seg %d still resident", seg)
+		}
+		if !c.Peek(rk("b", seg)) {
+			t.Errorf("purge dropped another video's seg %d", seg)
+		}
 	}
-	if reloads != 3 {
-		t.Errorf("purged video reloaded %d of 3 entries", reloads)
+}
+
+// TestRespCachePurgeSegment pins the live-publish purge: one (video,
+// segment) goes, its neighbours and other videos stay.
+func TestRespCachePurgeSegment(t *testing.T) {
+	c := newTestRespCache(1 << 20)
+	for seg := 0; seg < 2; seg++ {
+		c.Get(rk("a", seg), payloadLoad("x"))
+		c.Get(rk("b", seg), payloadLoad("y"))
+	}
+	purgeRespSegment(c, "a", 1)
+	if c.Peek(rk("a", 1)) || !c.Peek(rk("a", 0)) || !c.Peek(rk("b", 1)) {
+		t.Errorf("segment purge hit the wrong keys: a0=%v a1=%v b1=%v", c.Peek(rk("a", 0)), c.Peek(rk("a", 1)), c.Peek(rk("b", 1)))
 	}
 }
 
 // TestRespCachePurgeDoomsInflightLoad pins the re-ingest staleness bug:
-// a flight that started before purgeVideo ran cannot prove its store read
+// a flight that started before purgeRespVideo ran cannot prove its store read
 // happened after the republish, so its result must be served to the
 // waiters it already collected but never inserted into the cache. Before
 // the fix the flight completed after the purge and repopulated the cache
@@ -228,15 +131,15 @@ func TestRespCachePurgeDoomsInflightLoad(t *testing.T) {
 	}
 	got := make(chan result, 1)
 	go func() {
-		data, ok := c.get(key, func() ([]byte, bool) {
+		data, _, err := c.Get(key, func() ([]byte, error) {
 			close(started)
 			<-release // the load is mid-read while the purge lands
-			return []byte("stale"), true
+			return []byte("stale"), nil
 		})
-		got <- result{data, ok}
+		got <- result{data, err == nil}
 	}()
 	<-started
-	c.purgeVideo("V") // re-ingest republishes while the load is in flight
+	purgeRespVideo(c, "V") // re-ingest republishes while the load is in flight
 	close(release)
 
 	r := <-got
@@ -245,20 +148,20 @@ func TestRespCachePurgeDoomsInflightLoad(t *testing.T) {
 	}
 	// The stale result must not have been cached: the next request reloads
 	// and sees the post-republish payload.
-	reloaded := false
-	data, ok := c.get(key, func() ([]byte, bool) { reloaded = true; return []byte("fresh"), true })
-	if !reloaded {
+	data, outcome, err := c.Get(key, payloadLoad("fresh"))
+	if outcome != lru.Miss {
 		t.Fatal("purged-mid-flight payload was re-inserted into the cache")
 	}
-	if !ok || string(data) != "fresh" {
-		t.Fatalf("post-purge get = %q, %v", data, ok)
+	if err != nil || string(data) != "fresh" {
+		t.Fatalf("post-purge get = %q, %v", data, err)
 	}
-	st := c.stats()
+	st := respCacheStats(c)
 	if st.Doomed != 1 {
 		t.Errorf("Doomed = %d, want 1", st.Doomed)
 	}
-	if st.Entries != 1 || string(c.items[key].Value.(*respNode).data) != "fresh" {
-		t.Errorf("cache holds the wrong payload: %+v", st)
+	cached, outcome, _ := c.Get(key, payloadLoad("reloaded"))
+	if st.Entries != 1 || outcome != lru.Hit || string(cached) != "fresh" {
+		t.Errorf("cache holds the wrong payload: %q (%v), %+v", cached, outcome, st)
 	}
 }
 
@@ -271,21 +174,20 @@ func TestRespCachePurgeDoomsOnlyThatVideo(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		c.get(rk("other", 0), func() ([]byte, bool) {
+		c.Get(rk("other", 0), func() ([]byte, error) {
 			close(started)
 			<-release
-			return []byte("kept"), true
+			return []byte("kept"), nil
 		})
 	}()
 	<-started
-	c.purgeVideo("V")
+	purgeRespVideo(c, "V")
 	close(release)
 	<-done
-	c.get(rk("other", 0), func() ([]byte, bool) {
+	if !c.Peek(rk("other", 0)) {
 		t.Error("unrelated video's in-flight load was doomed by the purge")
-		return nil, false
-	})
-	if st := c.stats(); st.Doomed != 0 {
+	}
+	if st := respCacheStats(c); st.Doomed != 0 {
 		t.Errorf("Doomed = %d, want 0", st.Doomed)
 	}
 }
@@ -315,14 +217,14 @@ func TestServiceReingestDuringSlowLoad(t *testing.T) {
 	if err := svc.store.Put(origKey("V", 0), fresh, nil); err != nil {
 		t.Fatal(err)
 	}
-	svc.cache.purgeVideo("V")
+	purgeRespVideo(svc.cache, "V")
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
 
 	// The doomed flight's payload must not be cached: this request has to
 	// miss and read the republished store.
-	missesBefore := svc.cache.stats().Misses
+	missesBefore := svc.cache.Stats().Misses
 	data, ok := svc.payload(respKey{video: "V", seg: 0, kind: respOrig})
 	if !ok {
 		t.Fatal("post-republish request failed")
@@ -330,13 +232,13 @@ func TestServiceReingestDuringSlowLoad(t *testing.T) {
 	if string(data) != string(fresh) {
 		t.Fatal("post-republish request served the pre-republish payload")
 	}
-	if got := svc.cache.stats().Misses - missesBefore; got != 1 {
+	if got := svc.cache.Stats().Misses - missesBefore; got != 1 {
 		t.Errorf("post-republish request hit the cache (misses delta %d, want 1): stale payload survived the purge", got)
 	}
 }
 
 // TestRespCacheConcurrentChurn hammers a small cache from many goroutines
-// under -race: hits, misses, evictions, and purges all interleaving.
+// under -race: hits, misses, evictions, and video purges all interleaving.
 func TestRespCacheConcurrentChurn(t *testing.T) {
 	c := newTestRespCache(256)
 	var wg sync.WaitGroup
@@ -347,21 +249,21 @@ func TestRespCacheConcurrentChurn(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				seg := (g + i) % 12
 				video := fmt.Sprintf("v%d", i%3)
-				data, ok := c.get(respKey{video: video, seg: seg, kind: respFOV}, func() ([]byte, bool) {
-					return make([]byte, 16+seg), true
+				data, _, err := c.Get(respKey{video: video, seg: seg, kind: respFOV}, func() ([]byte, error) {
+					return make([]byte, 16+seg), nil
 				})
-				if !ok || len(data) != 16+seg {
-					t.Errorf("churn get seg %d: %d bytes, %v", seg, len(data), ok)
+				if err != nil || len(data) != 16+seg {
+					t.Errorf("churn get seg %d: %d bytes, %v", seg, len(data), err)
 					return
 				}
 				if i%50 == 0 {
-					c.purgeVideo(video)
+					purgeRespVideo(c, video)
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	st := c.stats()
+	st := respCacheStats(c)
 	if st.Bytes > 256 {
 		t.Errorf("cache grew past budget: %+v", st)
 	}
@@ -376,5 +278,17 @@ func TestNewRespCacheDisabled(t *testing.T) {
 	}
 	if c := newTestRespCache(-5); c != nil {
 		t.Error("negative budget built a cache")
+	}
+	// The disabled (nil) cache still serves from the store, and the purge
+	// paths that used to be guarded on it are no-ops.
+	svc := fabricateService(t, ServiceOptions{})
+	svc.Publish(svc.manifests["V"])
+	for i := 0; i < 2; i++ {
+		if data, ok := svc.payload(respKey{video: "V", seg: 0, kind: respOrig}); !ok || len(data) == 0 {
+			t.Fatalf("disabled cache: get %d failed", i)
+		}
+	}
+	if st, ok := svc.RespCacheStats(); ok || st != (RespCacheStats{}) {
+		t.Errorf("disabled cache reported stats %+v, %v", st, ok)
 	}
 }
