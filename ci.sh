@@ -60,7 +60,10 @@
 # The codec decoder has its own fuzz smoke: no payload may panic it or
 # make it allocate more than the payload could describe. The cache model
 # fuzzer checks internal/lru against a sequential reference (resident set,
-# LRU order, budget, stats) over random Get/Peek/Purge sequences. perfbench
+# LRU order, budget, stats) over random Get/Peek/Purge sequences. The
+# fixed-point fuzzer checks every raw-integer op of internal/fixed's
+# resolved formats against the pre-kernel Fix code kept in its tests, over
+# random formats and operands. perfbench
 # is a Go module of its own, so `go test ./...` above never reaches it; its
 # short self-tests (seed determinism, wrapper transparency, metric
 # coverage) run from its directory.
@@ -79,6 +82,7 @@ go test ./internal/chaos -run='^$' -fuzz=FuzzChaosScenario -fuzztime=5s
 go test ./internal/codec -run='^$' -fuzz=FuzzRateControllerObserve -fuzztime=5s
 go test ./internal/codec -run='^$' -fuzz=FuzzDecode -fuzztime=5s
 go test ./internal/lru -run='^$' -fuzz=FuzzCacheModel -fuzztime=5s
+go test ./internal/fixed -run='^$' -fuzz=FuzzArith -fuzztime=5s
 (cd perfbench && go test -short .)
 go run ./cmd/evrconform -fast
 go run ./cmd/evrconform

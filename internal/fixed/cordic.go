@@ -1,10 +1,5 @@
 package fixed
 
-import (
-	"math"
-	"sync"
-)
-
 // maxCORDICIter bounds the CORDIC iteration count; beyond ~60 iterations the
 // atan table entries underflow any representable format.
 const maxCORDICIter = 60
@@ -28,180 +23,21 @@ func (f Format) iterations() int {
 // accelerator accounting.
 func (f Format) CORDICIterations() int { return f.iterations() }
 
-// romCache memoizes the per-format CORDIC constants — in hardware these
-// are ROMs synthesized once per design, and rebuilding them per invocation
-// would dominate the simulator's runtime.
-var romCache sync.Map // Format -> *cordicROM
-
-type cordicROM struct {
-	atan []Fix
-	gain Fix
-}
-
-// rom returns the cached CORDIC constants for the format.
-func (f Format) rom(n int) *cordicROM {
-	if v, ok := romCache.Load(f); ok {
-		return v.(*cordicROM)
-	}
-	r := &cordicROM{atan: make([]Fix, n)}
-	for i := range r.atan {
-		r.atan[i] = f.FromFloat(math.Atan(math.Ldexp(1, -i)))
-	}
-	k := 1.0
-	for i := 0; i < n; i++ {
-		k *= 1 / math.Sqrt(1+math.Ldexp(1, -2*i))
-	}
-	r.gain = f.FromFloat(k)
-	actual, _ := romCache.LoadOrStore(f, r)
-	return actual.(*cordicROM)
-}
-
-// atanTable returns atan(2^-i) for i in [0, n) quantized to the format —
-// the contents of the accelerator's angle ROM.
-func (f Format) atanTable(n int) []Fix {
-	return f.rom(n).atan
-}
-
-// cordicGain returns the CORDIC scale factor K = Π 1/sqrt(1+2^-2i) for n
-// iterations, quantized to the format (a single ROM constant in hardware).
-func (f Format) cordicGain(n int) Fix {
-	return f.rom(n).gain
-}
-
-// SinCos computes sin(a) and cos(a) with CORDIC in rotation mode. The
-// argument may be any representable angle in radians; it is first reduced
-// into [-π, π] and then into [-π/2, π/2] with a sign flip.
+// SinCos computes sin(a) and cos(a) with CORDIC in rotation mode (see
+// Arith.SinCos).
 func (f Format) SinCos(a Fix) (sin, cos Fix) {
-	pi := f.Pi()
-	twoPi := f.FromFloat(2 * math.Pi)
-	// Range-reduce into [-π, π].
-	z := a
-	for z.Cmp(pi) > 0 {
-		z = z.Sub(twoPi)
-	}
-	for z.Cmp(pi.Neg()) < 0 {
-		z = z.Add(twoPi)
-	}
-	// Reduce into [-π/2, π/2]; remember the quadrant flip.
-	flip := false
-	half := f.HalfPi()
-	if z.Cmp(half) > 0 {
-		z = pi.Sub(z)
-		flip = true
-	} else if z.Cmp(half.Neg()) < 0 {
-		z = pi.Neg().Sub(z)
-		flip = true
-	}
-	n := f.iterations()
-	atan := f.atanTable(n)
-	x := f.cordicGain(n)
-	y := f.Zero()
-	for i := 0; i < n; i++ {
-		dx := x.Shr(uint(i))
-		dy := y.Shr(uint(i))
-		if z.Raw >= 0 {
-			x, y = x.Sub(dy), y.Add(dx)
-			z = z.Sub(atan[i])
-		} else {
-			x, y = x.Add(dy), y.Sub(dx)
-			z = z.Add(atan[i])
-		}
-	}
-	sin, cos = y, x
-	if flip {
-		cos = cos.Neg()
-	}
-	return sin, cos
+	s, c := f.Arith().SinCos(a.Raw)
+	return Fix{Raw: s, Fmt: f}, Fix{Raw: c, Fmt: f}
 }
 
-// Atan2 computes atan2(y, x) with CORDIC in vectoring mode, returning the
-// angle in (-π, π]. It is the core of the Cartesian-to-Spherical (C2S) block
-// of the mapping engine (§6.2).
-func (f Format) Atan2(y, x Fix) Fix {
-	if x.IsZero() && y.IsZero() {
-		return f.Zero()
-	}
-	// Pre-rotate into the right half-plane.
-	var offset Fix
-	switch {
-	case x.Raw < 0 && y.Raw >= 0:
-		// Second quadrant: rotate by -π/2 → angle = atan2'(.) + π/2 ... use π offset form.
-		offset = f.Pi()
-		x, y = x.Neg(), y.Neg() // now in third quadrant mirrored; handled below by -π? — see tests
-	case x.Raw < 0 && y.Raw < 0:
-		offset = f.Pi().Neg()
-		x, y = x.Neg(), y.Neg()
-	}
-	n := f.iterations()
-	atan := f.atanTable(n)
-	z := f.Zero()
-	for i := 0; i < n; i++ {
-		dx := x.Shr(uint(i))
-		dy := y.Shr(uint(i))
-		if y.Raw >= 0 {
-			x, y = x.Add(dy), y.Sub(dx)
-			z = z.Add(atan[i])
-		} else {
-			x, y = x.Sub(dy), y.Add(dx)
-			z = z.Sub(atan[i])
-		}
-	}
-	return z.Add(offset)
-}
+// Atan2 computes atan2(y, x) with CORDIC in vectoring mode (see
+// Arith.Atan2).
+func (f Format) Atan2(y, x Fix) Fix { return Fix{Raw: f.Arith().Atan2(y.Raw, x.Raw), Fmt: f} }
 
-// Sqrt computes the square root of a non-negative value with the classic
-// bit-serial (digit-by-digit) integer algorithm on the raw representation.
-// Negative inputs return zero (the RTL clamps and raises a sticky flag).
-func (f Format) Sqrt(a Fix) Fix {
-	if a.Raw <= 0 {
-		return f.Zero()
-	}
-	// sqrt(raw / 2^frac) = sqrt(raw << frac) / 2^frac: widen to 128 bits.
-	frac := uint(f.FracBits())
-	hi := uint64(a.Raw) >> (64 - frac)
-	lo := uint64(a.Raw) << frac
-	if frac == 0 {
-		hi, lo = 0, uint64(a.Raw)
-	}
-	return f.FromRaw(int64(sqrt128(hi, lo)))
-}
+// Sqrt computes the square root of a non-negative value as the bit-serial
+// integer algorithm does; negative inputs return zero (see Arith.Sqrt).
+func (f Format) Sqrt(a Fix) Fix { return Fix{Raw: f.Arith().Sqrt(a.Raw), Fmt: f} }
 
-// sqrt128 returns floor(sqrt(hi:lo)) for an unsigned 128-bit radicand.
-func sqrt128(hi, lo uint64) uint64 {
-	var rem, root uint64 // remainder and partial root, high parts tracked below
-	var remHi uint64
-	// Process 64 two-bit groups from the most significant end.
-	for i := 0; i < 64; i++ {
-		// Shift two bits from (hi:lo) into (remHi:rem).
-		remHi = (remHi << 2) | (rem >> 62)
-		rem = (rem << 2) | (hi >> 62)
-		hi = (hi << 2) | (lo >> 62)
-		lo <<= 2
-		root <<= 1
-		trial := 2*root + 1
-		if remHi > 0 || rem >= trial {
-			// Subtract trial from (remHi:rem).
-			if rem < trial {
-				remHi--
-			}
-			rem -= trial
-			root++
-		}
-	}
-	return root
-}
-
-// Asin computes arcsin(y) for y in [-1, 1] as atan2(y, sqrt(1-y²)), the
-// composition the mapping engine uses for the latitude term. Inputs outside
-// [-1, 1] are clamped.
-func (f Format) Asin(y Fix) Fix {
-	one := f.One()
-	if y.Cmp(one) >= 0 {
-		return f.HalfPi()
-	}
-	if y.Cmp(one.Neg()) <= 0 {
-		return f.HalfPi().Neg()
-	}
-	c := f.Sqrt(one.Sub(y.Mul(y)))
-	return f.Atan2(y, c)
-}
+// Asin computes arcsin(y) as atan2(y, sqrt(1-y²)), clamping inputs outside
+// [-1, 1] (see Arith.Asin).
+func (f Format) Asin(y Fix) Fix { return Fix{Raw: f.Arith().Asin(y.Raw), Fmt: f} }

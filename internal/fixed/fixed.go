@@ -14,12 +14,16 @@
 // computed with CORDIC in the same format, and Sqrt with a bit-serial
 // integer algorithm, so quantization error accumulates exactly as it would
 // in the accelerator — this is what makes the Fig. 11 sweep meaningful.
+//
+// Every op has one implementation, on raw int64 words: Arith, a Format
+// resolved once into its saturation bounds, rounding constant and CORDIC
+// ROM. The Fix methods and the Format transcendentals wrap it; hot loops
+// such as the PTE datapath hold the *Arith and skip the Fix values.
 package fixed
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
 )
 
 // Format describes a fixed-point representation.
@@ -71,19 +75,8 @@ type Fix struct {
 	Fmt Format
 }
 
-// saturate clamps raw into the representable range of f.
-func (f Format) saturate(raw int64) int64 {
-	if raw > f.maxRaw() {
-		return f.maxRaw()
-	}
-	if raw < f.minRaw() {
-		return f.minRaw()
-	}
-	return raw
-}
-
 // FromRaw builds a value from a raw integer, saturating to the format.
-func (f Format) FromRaw(raw int64) Fix { return Fix{Raw: f.saturate(raw), Fmt: f} }
+func (f Format) FromRaw(raw int64) Fix { return Fix{Raw: f.Arith().Sat(raw), Fmt: f} }
 
 // FromFloat quantizes x (round-to-nearest) into the format, saturating.
 func (f Format) FromFloat(x float64) Fix {
@@ -132,21 +125,16 @@ func (a Fix) Int() int { return int(a.Raw >> uint(a.Fmt.FracBits())) }
 func (a Fix) String() string { return fmt.Sprintf("%g%s", a.Float(), a.Fmt) }
 
 // Add returns a+b saturated. Both operands must share a format.
-func (a Fix) Add(b Fix) Fix { return a.Fmt.FromRaw(a.Raw + b.Raw) }
+func (a Fix) Add(b Fix) Fix { return Fix{Raw: a.Fmt.Arith().Add(a.Raw, b.Raw), Fmt: a.Fmt} }
 
 // Sub returns a-b saturated.
-func (a Fix) Sub(b Fix) Fix { return a.Fmt.FromRaw(a.Raw - b.Raw) }
+func (a Fix) Sub(b Fix) Fix { return Fix{Raw: a.Fmt.Arith().Sub(a.Raw, b.Raw), Fmt: a.Fmt} }
 
 // Neg returns -a saturated.
-func (a Fix) Neg() Fix { return a.Fmt.FromRaw(-a.Raw) }
+func (a Fix) Neg() Fix { return Fix{Raw: a.Fmt.Arith().Neg(a.Raw), Fmt: a.Fmt} }
 
 // Abs returns |a| saturated.
-func (a Fix) Abs() Fix {
-	if a.Raw < 0 {
-		return a.Neg()
-	}
-	return a
-}
+func (a Fix) Abs() Fix { return Fix{Raw: a.Fmt.Arith().Abs(a.Raw), Fmt: a.Fmt} }
 
 // Cmp returns -1, 0, or +1 as a is less than, equal to, or greater than b.
 func (a Fix) Cmp(b Fix) int {
@@ -164,66 +152,15 @@ func (a Fix) Cmp(b Fix) int {
 func (a Fix) IsZero() bool { return a.Raw == 0 }
 
 // Mul returns a·b with a full-width intermediate product, rounded to nearest
-// and saturated — the behaviour of a hardware MAC with a wide accumulator
-// and an output saturator.
-func (a Fix) Mul(b Fix) Fix {
-	hi, lo := mul128(a.Raw, b.Raw)
-	frac := uint(a.Fmt.FracBits())
-	// Round to nearest: add half-ulp before shifting right.
-	half := uint64(0)
-	if frac > 0 {
-		half = uint64(1) << (frac - 1)
-	}
-	var carry uint64
-	lo, carry = bits.Add64(lo, half, 0)
-	hi += int64(carry) // signed addition of the carry into the high word
-	// Arithmetic shift of the 128-bit value (hi:lo) right by frac bits.
-	shifted := shiftRight128(hi, lo, frac)
-	return a.Fmt.FromRaw(shifted)
-}
+// and saturated (see Arith.Mul).
+func (a Fix) Mul(b Fix) Fix { return Fix{Raw: a.Fmt.Arith().Mul(a.Raw, b.Raw), Fmt: a.Fmt} }
 
 // Div returns a/b rounded toward zero and saturated. Division by zero
-// saturates to the sign of a (the RTL raises a sticky flag and clamps).
-func (a Fix) Div(b Fix) Fix {
-	if b.Raw == 0 {
-		if a.Raw >= 0 {
-			return Fix{Raw: a.Fmt.maxRaw(), Fmt: a.Fmt}
-		}
-		return Fix{Raw: a.Fmt.minRaw(), Fmt: a.Fmt}
-	}
-	neg := (a.Raw < 0) != (b.Raw < 0)
-	ua := uint64(abs64(a.Raw))
-	ub := uint64(abs64(b.Raw))
-	// (ua << frac) / ub with a 128-bit numerator.
-	frac := uint(a.Fmt.FracBits())
-	hi := ua >> (64 - frac) // frac is < 64
-	lo := ua << frac
-	if frac == 0 {
-		hi, lo = 0, ua
-	}
-	if hi >= ub {
-		// Quotient would overflow 64 bits; saturate.
-		if neg {
-			return Fix{Raw: a.Fmt.minRaw(), Fmt: a.Fmt}
-		}
-		return Fix{Raw: a.Fmt.maxRaw(), Fmt: a.Fmt}
-	}
-	q, _ := bits.Div64(hi, lo, ub)
-	if q > uint64(math.MaxInt64) {
-		q = uint64(math.MaxInt64)
-	}
-	r := int64(q)
-	if neg {
-		r = -r
-	}
-	return a.Fmt.FromRaw(r)
-}
+// saturates to the sign of a (see Arith.Div).
+func (a Fix) Div(b Fix) Fix { return Fix{Raw: a.Fmt.Arith().Div(a.Raw, b.Raw), Fmt: a.Fmt} }
 
 // MulInt returns a·k for a plain integer k, saturated.
-func (a Fix) MulInt(k int) Fix {
-	hi, lo := mul128(a.Raw, int64(k))
-	return a.Fmt.FromRaw(shiftRight128(hi, lo, 0))
-}
+func (a Fix) MulInt(k int) Fix { return Fix{Raw: a.Fmt.Arith().MulInt(a.Raw, k), Fmt: a.Fmt} }
 
 // Shr returns a >> n (arithmetic), the hardware's cheap divide-by-2ⁿ.
 func (a Fix) Shr(n uint) Fix { return Fix{Raw: a.Raw >> n, Fmt: a.Fmt} }
@@ -242,54 +179,4 @@ func (a Fix) Shl(n uint) Fix {
 		r = r2
 	}
 	return a.Fmt.FromRaw(r)
-}
-
-func abs64(x int64) int64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// mul128 returns the signed 128-bit product of a and b as (hi, lo).
-func mul128(a, b int64) (hi int64, lo uint64) {
-	neg := (a < 0) != (b < 0)
-	uhi, ulo := bits.Mul64(uint64(abs64(a)), uint64(abs64(b)))
-	if !neg {
-		return int64(uhi), ulo
-	}
-	// Two's complement negation of the 128-bit value.
-	lo = ^ulo + 1
-	hi = ^int64(uhi)
-	if lo == 0 {
-		hi++
-	}
-	return hi, lo
-}
-
-// shiftRight128 arithmetically shifts the signed 128-bit value (hi:lo) right
-// by n (< 64) bits and returns the low 64 bits of the result, saturating if
-// the true result does not fit in an int64.
-func shiftRight128(hi int64, lo uint64, n uint) int64 {
-	var r uint64
-	if n == 0 {
-		r = lo
-	} else {
-		r = (lo >> n) | (uint64(hi) << (64 - n))
-	}
-	top := hi >> n // remaining high part after the shift
-	if n == 0 {
-		top = hi
-	}
-	// The result fits iff top is the sign extension of r.
-	if top == 0 && r <= uint64(math.MaxInt64) {
-		return int64(r)
-	}
-	if top == -1 && int64(r) < 0 {
-		return int64(r)
-	}
-	if hi >= 0 {
-		return math.MaxInt64
-	}
-	return math.MinInt64
 }

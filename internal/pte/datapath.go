@@ -14,26 +14,31 @@ import (
 // register is as wide as the frame dimensions require, independent of the
 // arithmetic datapath width).
 //
-// Per-frame constants (rotation matrices from the D2R + Init-RM blocks, FOV
-// tangents, raster steps) are computed once in beginFrame, mirroring the
-// configuration registers the driver programs per frame.
+// It is a raw-integer kernel: values are the formats' raw int64 words and
+// every op goes through the resolved arithmetic (fixed.Arith), which
+// rounds and saturates exactly as the fixed.Fix methods do. Per-frame
+// constants (rotation matrices from the D2R + Init-RM blocks, FOV tangents,
+// raster steps) are computed once in beginFrame, mirroring the
+// configuration registers the driver programs per frame; so are the
+// per-column perspective products, which depend on the column alone.
 type datapath struct {
 	cfg Config
-	f   fixed.Format // value (datapath) format
-	af  fixed.Format // address format for pixel coordinates
+	a   *fixed.Arith // value (datapath) format
+	aa  *fixed.Arith // address format for pixel coordinates
 
-	// Constants quantized to the value format.
-	one, half, third  fixed.Fix
-	inv2pi, invPi     fixed.Fix
-	fourOverPi, d2r   fixed.Fix
-	halfAddr, oneAddr fixed.Fix
-	pixMax            fixed.Fix
+	// Constants quantized to the value format (raw words).
+	one, half, third int64
+	inv2pi, invPi    int64
+	fourOverPi, d2r  int64
+	invW, invH       int64      // 1/W, 1/H of the *viewport*
+	fromInt          [256]int64 // FromInt(c): channel levels and face offsets
+	halfAddr         int64      // 0.5 in the address format
 
 	// Per-frame state.
-	m          [3][3]fixed.Fix // head rotation matrix
-	tx, ty     fixed.Fix       // tan(FOV/2)
-	inW, inH   int             // input frame dimensions
-	invW, invH fixed.Fix       // 1/W, 1/H of the *viewport*
+	m        [3][3]int64 // head rotation matrix
+	tx, ty   int64       // tan(FOV/2)
+	inW, inH int         // input frame dimensions
+	col      [3][]int64  // m[r][0]·px(i) for each output column i
 }
 
 // addressFormat returns the pixel-address format paired with a value format:
@@ -47,146 +52,183 @@ func addressFormat(f fixed.Format) fixed.Format {
 	return fixed.Format{TotalBits: frac + 16, IntBits: 16}
 }
 
-// convert re-quantizes x into format to, preserving the value.
-func convert(x fixed.Fix, to fixed.Format) fixed.Fix {
-	df := to.FracBits() - x.Fmt.FracBits()
-	raw := x.Raw
+// convert re-quantizes the raw word x of one format into another,
+// preserving the value.
+func convert(x int64, from, to *fixed.Arith) int64 {
+	df := to.Fmt.FracBits() - from.Fmt.FracBits()
 	switch {
 	case df > 0:
-		shifted := raw << uint(df)
-		if df >= 63 || shifted>>uint(df) != raw {
+		shifted := x << uint(df)
+		if df >= 63 || shifted>>uint(df) != x {
 			// The widened raw overflows int64; saturate to the sign.
-			if raw > 0 {
-				return fixed.Fix{Raw: to.FromFloat(1e18).Raw, Fmt: to}
+			if x > 0 {
+				return to.Fmt.FromFloat(1e18).Raw
 			}
-			return fixed.Fix{Raw: to.FromFloat(-1e18).Raw, Fmt: to}
+			return to.Fmt.FromFloat(-1e18).Raw
 		}
-		raw = shifted
+		x = shifted
 	case df < 0:
-		raw >>= uint(-df)
+		x >>= uint(-df)
 	}
-	return to.FromRaw(raw)
+	return to.Sat(x)
 }
 
 func newDatapath(cfg Config) *datapath {
 	f := cfg.Format
 	af := addressFormat(f)
-	return &datapath{
+	d := &datapath{
 		cfg:        cfg,
-		f:          f,
-		af:         af,
-		one:        f.One(),
-		half:       f.FromFloat(0.5),
-		third:      f.FromFloat(1.0 / 3),
-		inv2pi:     f.FromFloat(1 / (2 * 3.14159265358979)),
-		invPi:      f.FromFloat(1 / 3.14159265358979),
-		fourOverPi: f.FromFloat(4 / 3.14159265358979),
-		d2r:        f.FromFloat(3.14159265358979 / 180),
-		halfAddr:   af.FromFloat(0.5),
-		oneAddr:    af.One(),
-		pixMax:     f.FromInt(255),
-		invW:       f.FromFloat(1 / float64(cfg.Viewport.Width)),
-		invH:       f.FromFloat(1 / float64(cfg.Viewport.Height)),
+		a:          f.Arith(),
+		aa:         af.Arith(),
+		one:        f.One().Raw,
+		half:       f.FromFloat(0.5).Raw,
+		third:      f.FromFloat(1.0 / 3).Raw,
+		inv2pi:     f.FromFloat(1 / (2 * 3.14159265358979)).Raw,
+		invPi:      f.FromFloat(1 / 3.14159265358979).Raw,
+		fourOverPi: f.FromFloat(4 / 3.14159265358979).Raw,
+		d2r:        f.FromFloat(3.14159265358979 / 180).Raw,
+		invW:       f.FromFloat(1 / float64(cfg.Viewport.Width)).Raw,
+		invH:       f.FromFloat(1 / float64(cfg.Viewport.Height)).Raw,
+		halfAddr:   af.FromFloat(0.5).Raw,
 	}
+	for c := range d.fromInt {
+		d.fromInt[c] = f.FromInt(c).Raw
+	}
+	for r := range d.col {
+		d.col[r] = make([]int64, cfg.Viewport.Width)
+	}
+	return d
 }
 
 // sinCosDeg runs the D2R block (degrees → radians) followed by the CORDIC
 // sin/cos, as in the mapping-engine front end (Fig. 8: "Init. RM D2R").
-func (d *datapath) sinCosDeg(deg float64) (sin, cos fixed.Fix) {
-	a := d.f.FromFloat(deg).Mul(d.d2r)
-	return d.f.SinCos(a)
+func (d *datapath) sinCosDeg(deg float64) (sin, cos int64) {
+	return d.a.SinCos(d.a.Mul(d.a.Fmt.FromFloat(deg).Raw, d.d2r))
 }
 
 // beginFrame programs the per-frame state: rotation matrices for the head
-// orientation and the raster-scan constants for the viewport.
+// orientation, the raster-scan constants for the viewport, and the
+// column half of the perspective update.
 func (d *datapath) beginFrame(o geom.Orientation, inW, inH int) {
+	a := d.a
 	sy, cy := d.sinCosDeg(geom.Degrees(o.Yaw))
 	sp, cp := d.sinCosDeg(geom.Degrees(-o.Pitch))
 	sr, cr := d.sinCosDeg(geom.Degrees(o.Roll))
-	z := d.f.Zero()
 	// Ry(yaw) — sparse rotation matrix, computed by the four-way MAC unit.
-	ry := [3][3]fixed.Fix{{cy, z, sy}, {z, d.one, z}, {sy.Neg(), z, cy}}
+	ry := [3][3]int64{{cy, 0, sy}, {0, d.one, 0}, {a.Neg(sy), 0, cy}}
 	// Rx(-pitch).
-	rx := [3][3]fixed.Fix{{d.one, z, z}, {z, cp, sp.Neg()}, {z, sp, cp}}
+	rx := [3][3]int64{{d.one, 0, 0}, {0, cp, a.Neg(sp)}, {0, sp, cp}}
 	// Rz(roll).
-	rz := [3][3]fixed.Fix{{cr, sr.Neg(), z}, {sr, cr, z}, {z, z, d.one}}
-	d.m = matMul(matMul(ry, rx), rz)
+	rz := [3][3]int64{{cr, a.Neg(sr), 0}, {sr, cr, 0}, {0, 0, d.one}}
+	d.m = d.matMul(d.matMul(ry, rx), rz)
 
 	// FOV tangents: tan = sin/cos on the CORDIC outputs.
 	sx, cx := d.sinCosDeg(geom.Degrees(d.cfg.Viewport.FOVX / 2))
-	d.tx = sx.Div(cx)
+	d.tx = a.Div(sx, cx)
 	syv, cyv := d.sinCosDeg(geom.Degrees(d.cfg.Viewport.FOVY / 2))
-	d.ty = syv.Div(cyv)
+	d.ty = a.Div(syv, cyv)
 
 	d.inW, d.inH = inW, inH
+
+	// px = (2(i+0.5)/W − 1)·tx via an index multiplier, (2i+1)·(tx/W) − tx,
+	// and its products with the matrix's first column. Every op is pure, so
+	// forming them once per column gives each pixel the very words the
+	// per-pixel pipeline computes.
+	txw := a.Mul(d.tx, d.invW)
+	for i := range d.col[0] {
+		px := a.Sub(a.MulInt(txw, 2*i+1), d.tx)
+		for r := range d.col {
+			d.col[r][i] = a.Mul(d.m[r][0], px)
+		}
+	}
 }
 
-func matMul(a, b [3][3]fixed.Fix) [3][3]fixed.Fix {
-	var r [3][3]fixed.Fix
+func (d *datapath) matMul(x, y [3][3]int64) [3][3]int64 {
+	a := d.a
+	var r [3][3]int64
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
-			r[i][j] = a[i][0].Mul(b[0][j]).Add(a[i][1].Mul(b[1][j])).Add(a[i][2].Mul(b[2][j]))
+			r[i][j] = a.Add(a.Add(a.Mul(x[i][0], y[0][j]), a.Mul(x[i][1], y[1][j])), a.Mul(x[i][2], y[2][j]))
 		}
 	}
 	return r
 }
 
-// perspective runs the perspective-update stage for output pixel (i, j):
-// the sphere point P′ as a (non-normalized) direction vector in fixed point.
-func (d *datapath) perspective(i, j int) (x, y, z fixed.Fix) {
-	// px = (2(i+0.5)/W − 1)·tx, via an index multiplier: (2i+1)·(tx/W) − tx.
-	px := d.tx.Mul(d.invW).MulInt(2*i + 1).Sub(d.tx)
-	py := d.ty.Sub(d.ty.Mul(d.invH).MulInt(2*j + 1))
-	// dir = M · (px, py, 1): three rows on the four-way MAC unit.
-	x = d.m[0][0].Mul(px).Add(d.m[0][1].Mul(py)).Add(d.m[0][2])
-	y = d.m[1][0].Mul(px).Add(d.m[1][1].Mul(py)).Add(d.m[1][2])
-	z = d.m[2][0].Mul(px).Add(d.m[2][1].Mul(py)).Add(d.m[2][2])
+// row runs the pipeline for output row j, writing its RGB bytes to dst and
+// sampling the input frame through the P-MEM line-buffer model.
+func (d *datapath) row(full *frame.Frame, pmem *lineBuffer, j int, dst []byte) {
+	my := d.rowProducts(j)
+	for i := range d.col[0] {
+		u, v := d.mapDir(d.perspective(i, &my))
+		dst[3*i], dst[3*i+1], dst[3*i+2] = d.sample(full, pmem, u, v)
+	}
+}
+
+// rowProducts is the row half of the perspective update for output row j:
+// py = ty − (2j+1)·(ty/H) and its products m[r][1]·py with the matrix's
+// second column.
+func (d *datapath) rowProducts(j int) [3]int64 {
+	a := d.a
+	py := a.Sub(d.ty, a.MulInt(a.Mul(d.ty, d.invH), 2*j+1))
+	return [3]int64{a.Mul(d.m[0][1], py), a.Mul(d.m[1][1], py), a.Mul(d.m[2][1], py)}
+}
+
+// perspective runs the perspective-update stage for output column i of the
+// row whose products are my: the sphere point P′ = M · (px, py, 1) as a
+// (non-normalized) direction vector, three rows on the four-way MAC unit.
+func (d *datapath) perspective(i int, my *[3]int64) (x, y, z int64) {
+	a := d.a
+	x = a.Add(a.Add(d.col[0][i], my[0]), d.m[0][2])
+	y = a.Add(a.Add(d.col[1][i], my[1]), d.m[1][2])
+	z = a.Add(a.Add(d.col[2][i], my[2]), d.m[2][2])
 	return x, y, z
 }
 
 // mapDir runs the mapping stage: direction → normalized frame coordinates
 // (u, v) in the value format, per the modular structure of Equ. 1–3.
-func (d *datapath) mapDir(x, y, z fixed.Fix) (u, v fixed.Fix) {
+func (d *datapath) mapDir(x, y, z int64) (u, v int64) {
+	a := d.a
 	switch d.cfg.Projection {
 	case projection.ERP:
 		// C2S ∘ LS_erp.
-		theta := d.f.Atan2(x, z)
-		rxz := d.f.Sqrt(x.Mul(x).Add(z.Mul(z)))
-		phi := d.f.Atan2(y, rxz)
-		u = theta.Mul(d.inv2pi).Add(d.half)
-		v = d.half.Sub(phi.Mul(d.invPi))
+		theta := a.Atan2(x, z)
+		rxz := a.Sqrt(a.Add(a.Mul(x, x), a.Mul(z, z)))
+		phi := a.Atan2(y, rxz)
+		u = a.Add(a.Mul(theta, d.inv2pi), d.half)
+		v = a.Sub(d.half, a.Mul(phi, d.invPi))
 		return u, v
 	case projection.CMP:
 		face, s, t := d.cubeIntersect(x, y, z)
 		return d.c2f(face, s, t)
 	default: // EAC
 		face, s, t := d.cubeIntersect(x, y, z)
-		s = d.f.Atan2(s, d.one).Mul(d.fourOverPi)
-		t = d.f.Atan2(t, d.one).Mul(d.fourOverPi)
+		s = a.Mul(a.Atan2(s, d.one), d.fourOverPi)
+		t = a.Mul(a.Atan2(t, d.one), d.fourOverPi)
 		return d.c2f(face, s, t)
 	}
 }
 
 // cubeIntersect is the fixed-point face selector: dominant axis comparison
 // plus two divisions, returning face-local coordinates in [-1, 1].
-func (d *datapath) cubeIntersect(x, y, z fixed.Fix) (projection.Face, fixed.Fix, fixed.Fix) {
-	ax, ay, az := x.Abs(), y.Abs(), z.Abs()
+func (d *datapath) cubeIntersect(x, y, z int64) (projection.Face, int64, int64) {
+	a := d.a
+	ax, ay, az := a.Abs(x), a.Abs(y), a.Abs(z)
 	switch {
-	case ax.Cmp(ay) >= 0 && ax.Cmp(az) >= 0:
-		if x.Raw > 0 {
-			return projection.FacePosX, z.Neg().Div(ax), y.Neg().Div(ax)
+	case ax >= ay && ax >= az:
+		if x > 0 {
+			return projection.FacePosX, a.Div(a.Neg(z), ax), a.Div(a.Neg(y), ax)
 		}
-		return projection.FaceNegX, z.Div(ax), y.Neg().Div(ax)
-	case ay.Cmp(ax) >= 0 && ay.Cmp(az) >= 0:
-		if y.Raw > 0 {
-			return projection.FacePosY, x.Div(ay), z.Div(ay)
+		return projection.FaceNegX, a.Div(z, ax), a.Div(a.Neg(y), ax)
+	case ay >= ax && ay >= az:
+		if y > 0 {
+			return projection.FacePosY, a.Div(x, ay), a.Div(z, ay)
 		}
-		return projection.FaceNegY, x.Div(ay), z.Neg().Div(ay)
+		return projection.FaceNegY, a.Div(x, ay), a.Div(a.Neg(z), ay)
 	default:
-		if z.Raw > 0 {
-			return projection.FacePosZ, x.Div(az), y.Neg().Div(az)
+		if z > 0 {
+			return projection.FacePosZ, a.Div(x, az), a.Div(a.Neg(y), az)
 		}
-		return projection.FaceNegZ, x.Neg().Div(az), y.Neg().Div(az)
+		return projection.FaceNegZ, a.Div(a.Neg(x), az), a.Div(a.Neg(y), az)
 	}
 }
 
@@ -202,64 +244,68 @@ var facePlacement = [6][2]int{
 
 // c2f is the fixed-point cube-to-frame block (Fig. 10): face coordinates in
 // [-1, 1] → normalized frame coordinates.
-func (d *datapath) c2f(face projection.Face, s, t fixed.Fix) (u, v fixed.Fix) {
+func (d *datapath) c2f(face projection.Face, s, t int64) (u, v int64) {
+	a := d.a
 	p := facePlacement[face]
-	fu := s.Add(d.one).Shr(1) // (s+1)/2
-	fv := t.Add(d.one).Shr(1)
-	u = d.f.FromInt(p[0]).Add(fu).Mul(d.third)
-	v = d.f.FromInt(p[1]).Add(fv).Shr(1)
+	fu := a.Add(s, d.one) >> 1 // (s+1)/2
+	fv := a.Add(t, d.one) >> 1
+	u = a.Mul(a.Add(d.fromInt[p[0]], fu), d.third)
+	v = a.Add(d.fromInt[p[1]], fv) >> 1
 	return u, v
 }
 
-// pixel runs the full pipeline for output pixel (i, j), sampling the input
-// frame through the P-MEM line-buffer model.
-func (d *datapath) pixel(full *frame.Frame, pmem *lineBuffer, i, j int) (r, g, b byte) {
-	x, y, z := d.perspective(i, j)
-	u, v := d.mapDir(x, y, z)
-
+// sample runs address generation and the filtering stage for normalized
+// frame coordinates (u, v).
+func (d *datapath) sample(full *frame.Frame, pmem *lineBuffer, u, v int64) (r, g, b byte) {
+	a, aa := d.a, d.aa
 	// Address generation: continuous pixel coordinates in the wide format.
-	uPix := convert(u, d.af).MulInt(d.inW).Sub(d.halfAddr)
-	vPix := convert(v, d.af).MulInt(d.inH).Sub(d.halfAddr)
+	uPix := aa.Sub(aa.MulInt(convert(u, a, aa), d.inW), d.halfAddr)
+	vPix := aa.Sub(aa.MulInt(convert(v, a, aa), d.inH), d.halfAddr)
+	shift := uint(aa.Fmt.FracBits())
 
 	if d.cfg.Filter == pt.Nearest {
-		xi := uPix.Add(d.halfAddr).Int()
-		yi := vPix.Add(d.halfAddr).Int()
+		xi := int(aa.Add(uPix, d.halfAddr) >> shift)
+		yi := int(aa.Add(vPix, d.halfAddr) >> shift)
 		return d.fetch(full, pmem, xi, yi)
 	}
 
-	// Bilinear: integer corner plus fractional weights.
-	x0 := uPix.Int()
-	y0 := vPix.Int()
-	fx := convert(uPix.Sub(d.af.FromInt(x0)), d.f)
-	fy := convert(vPix.Sub(d.af.FromInt(y0)), d.f)
-	gx := d.one.Sub(fx)
-	gy := d.one.Sub(fy)
+	// Bilinear: integer corner plus fractional weights. The corner is the
+	// floor of the coordinate, so the fraction uPix − FromInt(x0) is exactly
+	// its low address bits (no saturation can occur on either step).
+	x0 := int(uPix >> shift)
+	y0 := int(vPix >> shift)
+	mask := int64(1)<<shift - 1
+	fx := convert(uPix&mask, aa, a)
+	fy := convert(vPix&mask, aa, a)
+	gx := a.Sub(d.one, fx)
+	gy := a.Sub(d.one, fy)
 
 	r00, g00, b00 := d.fetch(full, pmem, x0, y0)
 	r10, g10, b10 := d.fetch(full, pmem, x0+1, y0)
 	r01, g01, b01 := d.fetch(full, pmem, x0, y0+1)
 	r11, g11, b11 := d.fetch(full, pmem, x0+1, y0+1)
 
-	w00 := gx.Mul(gy)
-	w10 := fx.Mul(gy)
-	w01 := gx.Mul(fy)
-	w11 := fx.Mul(fy)
-	blend := func(c00, c10, c01, c11 byte) byte {
-		acc := w00.Mul(d.f.FromInt(int(c00))).
-			Add(w10.Mul(d.f.FromInt(int(c10)))).
-			Add(w01.Mul(d.f.FromInt(int(c01)))).
-			Add(w11.Mul(d.f.FromInt(int(c11)))).
-			Add(d.half)
-		n := acc.Int()
-		if n < 0 {
-			n = 0
-		}
-		if n > 255 {
-			n = 255
-		}
-		return byte(n)
+	w := [4]int64{a.Mul(gx, gy), a.Mul(fx, gy), a.Mul(gx, fy), a.Mul(fx, fy)}
+	return d.blend(&w, r00, r10, r01, r11), d.blend(&w, g00, g10, g01, g11), d.blend(&w, b00, b10, b01, b11)
+}
+
+// blend mixes one channel of the four texels with the bilinear weights w
+// (w00, w10, w01, w11), rounding to the nearest level and clamping to a
+// byte.
+func (d *datapath) blend(w *[4]int64, c00, c10, c01, c11 byte) byte {
+	a := d.a
+	acc := a.Mul(w[0], d.fromInt[c00])
+	acc = a.Add(acc, a.Mul(w[1], d.fromInt[c10]))
+	acc = a.Add(acc, a.Mul(w[2], d.fromInt[c01]))
+	acc = a.Add(acc, a.Mul(w[3], d.fromInt[c11]))
+	n := a.Add(acc, d.half) >> uint(a.Fmt.FracBits())
+	if n < 0 {
+		n = 0
 	}
-	return blend(r00, r10, r01, r11), blend(g00, g10, g01, g11), blend(b00, b10, b01, b11)
+	if n > 255 {
+		n = 255
+	}
+	return byte(n)
 }
 
 // fetch reads one input pixel through the line buffer. Rows clamp at the

@@ -8,14 +8,15 @@ package pte
 // row-granular LRU window an accurate model: each first touch of a
 // non-resident row triggers one DMA refill of that row from DRAM.
 type lineBuffer struct {
-	capacity int // rows that fit in the scratchpad
-	resident map[int]int64
+	capacity int     // rows that fit in the scratchpad
+	lastUse  []int64 // per input row: clock of its last touch, 0 if not resident
+	resident []int   // the resident rows, in no particular order
 	clock    int64
 	refills  int64
 }
 
-// newLineBuffer sizes the window for an input frame width (RGB24 rows).
-func newLineBuffer(sizeBytes, frameWidth int) *lineBuffer {
+// newLineBuffer sizes the window for an input frame (RGB24 rows).
+func newLineBuffer(sizeBytes, frameWidth, frameHeight int) *lineBuffer {
 	rowBytes := frameWidth * 3
 	capacity := 1
 	if rowBytes > 0 {
@@ -24,26 +25,30 @@ func newLineBuffer(sizeBytes, frameWidth int) *lineBuffer {
 			capacity = 1
 		}
 	}
-	return &lineBuffer{capacity: capacity, resident: make(map[int]int64, capacity)}
+	return &lineBuffer{capacity: capacity, lastUse: make([]int64, frameHeight)}
 }
 
-// touch records an access to an input row, refilling it if non-resident and
-// evicting the least-recently-used row when the window is full.
+// touch records an access to an input row in [0, frameHeight), refilling it
+// if non-resident and evicting the least-recently-used row when the window
+// is full. Last-use clocks are distinct, so the victim is unique.
 func (lb *lineBuffer) touch(row int) {
 	lb.clock++
-	if _, ok := lb.resident[row]; ok {
-		lb.resident[row] = lb.clock
+	if lb.lastUse[row] != 0 {
+		lb.lastUse[row] = lb.clock
 		return
 	}
 	lb.refills++
-	if len(lb.resident) >= lb.capacity {
-		oldest, oldestAt := -1, int64(1<<62)
-		for r, at := range lb.resident {
-			if at < oldestAt {
-				oldest, oldestAt = r, at
+	if len(lb.resident) < lb.capacity {
+		lb.resident = append(lb.resident, row)
+	} else {
+		victim := 0
+		for k, r := range lb.resident {
+			if lb.lastUse[r] < lb.lastUse[lb.resident[victim]] {
+				victim = k
 			}
 		}
-		delete(lb.resident, oldest)
+		lb.lastUse[lb.resident[victim]] = 0
+		lb.resident[victim] = row
 	}
-	lb.resident[row] = lb.clock
+	lb.lastUse[row] = lb.clock
 }

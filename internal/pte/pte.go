@@ -193,39 +193,7 @@ func (e *Engine) ResetStats() { e.stats = Stats{} }
 // Render runs the full fixed-point PT for one frame and returns the FOV
 // frame. Timing and memory traffic are accumulated into Stats.
 func (e *Engine) Render(full *frame.Frame, o geom.Orientation) *frame.Frame {
-	if full.W == 0 || full.H == 0 {
-		panic("pte: empty input frame")
-	}
-	out := frame.New(e.cfg.Viewport.Width, e.cfg.Viewport.Height)
-	pmem := newLineBuffer(e.cfg.PMEMSize, full.W)
-	e.dp.beginFrame(o, full.W, full.H)
-	for j := 0; j < e.cfg.Viewport.Height; j++ {
-		for i := 0; i < e.cfg.Viewport.Width; i++ {
-			r, g, b := e.dp.pixel(full, pmem, i, j)
-			out.Set(i, j, r, g, b)
-		}
-	}
-
-	px := int64(out.W) * int64(out.H)
-	compute := (px + int64(e.cfg.NumPTUs) - 1) / int64(e.cfg.NumPTUs)
-	readBytes := pmem.refills * int64(full.W) * 3
-	writeBytes := int64(out.Bytes())
-	// The line buffers are double-banked, so DMA overlaps compute; only
-	// DMA time beyond the compute time stalls the pipeline.
-	dma := (readBytes + writeBytes + dmaBytesPerCycle - 1) / dmaBytesPerCycle
-	stall := dma - compute
-	if stall < 0 {
-		stall = 0
-	}
-
-	e.stats.Frames++
-	e.stats.OutputPixels += px
-	e.stats.Cycles += compute + pipelineDepth + stall
-	e.stats.StallCycles += stall
-	e.stats.DRAMReadBytes += readBytes
-	e.stats.DRAMWriteBytes += writeBytes
-	e.stats.PMEMLineRefills += pmem.refills
-	return out
+	return e.render(full, o, 1)
 }
 
 // RenderParallel runs the same pixel pipeline as Render with the output
@@ -237,42 +205,45 @@ func (e *Engine) Render(full *frame.Frame, o geom.Orientation) *frame.Frame {
 // because band boundaries re-fetch shared input rows, exactly as private
 // per-PTU line-buffer windows would.
 func (e *Engine) RenderParallel(full *frame.Frame, o geom.Orientation, workers int) *frame.Frame {
-	if full.W == 0 || full.H == 0 {
-		panic("pte: empty input frame")
-	}
-	h := e.cfg.Viewport.Height
 	if workers <= 0 {
 		workers = e.cfg.NumPTUs
 	}
+	return e.render(full, o, workers)
+}
+
+// render scans the viewport in row bands, one per worker (the whole P-MEM
+// for a single worker, an equal bank each otherwise), and accounts the
+// frame's cycles and DRAM traffic.
+func (e *Engine) render(full *frame.Frame, o geom.Orientation, workers int) *frame.Frame {
+	if full.W == 0 || full.H == 0 {
+		panic("pte: empty input frame")
+	}
+	w, h := e.cfg.Viewport.Width, e.cfg.Viewport.Height
 	if workers > h {
 		workers = h
 	}
-	if workers <= 1 {
-		return e.Render(full, o)
+	bank := e.cfg.PMEMSize
+	if workers > 1 {
+		bank = max(e.cfg.PMEMSize/workers, 1)
 	}
-	out := frame.New(e.cfg.Viewport.Width, h)
+	out := frame.New(w, h)
 	e.dp.beginFrame(o, full.W, full.H)
-	pmemBank := e.cfg.PMEMSize / workers
-	if pmemBank < 1 {
-		pmemBank = 1
-	}
 	pmems := make([]*lineBuffer, workers)
+	band := func(k int) {
+		pmems[k] = newLineBuffer(bank, full.W, full.H)
+		for j := k * h / workers; j < (k+1)*h/workers; j++ {
+			e.dp.row(full, pmems[k], j, out.Pix[j*w*3:(j+1)*w*3])
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		j0, j1 := w*h/workers, (w+1)*h/workers
-		pmem := newLineBuffer(pmemBank, full.W)
-		pmems[w] = pmem
+	for k := 1; k < workers; k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := j0; j < j1; j++ {
-				for i := 0; i < e.cfg.Viewport.Width; i++ {
-					r, g, b := e.dp.pixel(full, pmem, i, j)
-					out.Set(i, j, r, g, b)
-				}
-			}
+			band(k)
 		}()
 	}
+	band(0)
 	wg.Wait()
 
 	var refills int64
@@ -283,11 +254,11 @@ func (e *Engine) RenderParallel(full *frame.Frame, o geom.Orientation, workers i
 	compute := (px + int64(e.cfg.NumPTUs) - 1) / int64(e.cfg.NumPTUs)
 	readBytes := refills * int64(full.W) * 3
 	writeBytes := int64(out.Bytes())
+	// The line buffers are double-banked, so DMA overlaps compute; only
+	// DMA time beyond the compute time stalls the pipeline.
 	dma := (readBytes + writeBytes + dmaBytesPerCycle - 1) / dmaBytesPerCycle
-	stall := dma - compute
-	if stall < 0 {
-		stall = 0
-	}
+	stall := max(dma-compute, 0)
+
 	e.stats.Frames++
 	e.stats.OutputPixels += px
 	e.stats.Cycles += compute + pipelineDepth + stall

@@ -213,7 +213,7 @@ func TestEnergyScalesWithWork(t *testing.T) {
 }
 
 func TestLineBufferSequentialRows(t *testing.T) {
-	lb := newLineBuffer(10*3*4, 4) // 10 rows of a 4-wide frame
+	lb := newLineBuffer(10*3*4, 4, 10) // 10 rows of a 4-wide frame
 	for row := 0; row < 10; row++ {
 		lb.touch(row)
 		lb.touch(row) // second touch must hit
@@ -224,7 +224,7 @@ func TestLineBufferSequentialRows(t *testing.T) {
 }
 
 func TestLineBufferLRUEviction(t *testing.T) {
-	lb := newLineBuffer(2*3*4, 4) // capacity 2 rows
+	lb := newLineBuffer(2*3*4, 4, 3) // capacity 2 rows
 	lb.touch(0)
 	lb.touch(1)
 	lb.touch(0) // refresh row 0
@@ -240,7 +240,7 @@ func TestLineBufferLRUEviction(t *testing.T) {
 }
 
 func TestLineBufferMinimumCapacity(t *testing.T) {
-	lb := newLineBuffer(1, 4096) // smaller than one row
+	lb := newLineBuffer(1, 4096, 2) // smaller than one row
 	lb.touch(0)
 	lb.touch(1)
 	lb.touch(0)
